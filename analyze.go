@@ -45,8 +45,11 @@ func (a *RuleAnalysis) Warnings() []string {
 }
 
 // AnalyzeRules runs static rule analysis over the currently defined rules.
+// It reads the live rule set, so it takes the write mutex.
 func (db *DB) AnalyzeRules() *RuleAnalysis {
+	db.mu.Lock()
 	rep := db.eng.Analyze()
+	db.mu.Unlock()
 	out := &RuleAnalysis{
 		SelfLoops:       rep.SelfLoops,
 		Cycles:          rep.Cycles,

@@ -15,7 +15,7 @@ import (
 
 func startServer(t *testing.T, db *sopr.DB) string {
 	t.Helper()
-	srv := server.New(sopr.Synchronized(db), server.Config{})
+	srv := server.New(db, server.Config{})
 	ln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestDialRetry(t *testing.T) {
 
 	db := sopr.Open()
 	db.MustExec(`create table t (id int)`)
-	srv := server.New(sopr.Synchronized(db), server.Config{})
+	srv := server.New(db, server.Config{})
 	go func() {
 		time.Sleep(200 * time.Millisecond)
 		ln, err := server.Listen(addr)

@@ -20,7 +20,6 @@ const clusterSchema = `create table kv (k string, v int);`
 
 type clusterNodes struct {
 	primaryAddr string
-	sdb         *sopr.SynchronizedDB
 	db          *sopr.DB
 	psrv        *server.Server
 	replicas    []*replicaNode
@@ -38,20 +37,19 @@ func startCluster(t *testing.T, nReplicas int) *clusterNodes {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdb := sopr.Synchronized(db)
 	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond})
-	psrv := server.New(sdb, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
+	psrv := server.New(db, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
 	pln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go psrv.Serve(pln)
-	cn := &clusterNodes{primaryAddr: pln.Addr().String(), sdb: sdb, db: db, psrv: psrv}
+	cn := &clusterNodes{primaryAddr: pln.Addr().String(), db: db, psrv: psrv}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = cn.psrv.Shutdown(ctx)
-		_ = sdb.Close()
+		_ = db.Close()
 	})
 	for i := 0; i < nReplicas; i++ {
 		cn.addReplica(t, "")
@@ -221,7 +219,7 @@ func TestClusterFailover(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.sdb.Close()
+	_ = cn.db.Close()
 
 	res, err := cl.Exec(`insert into kv values ('b', 2);`)
 	if err != nil {
@@ -271,7 +269,7 @@ func TestClusterDialAfterPrimaryDeathPromotes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.sdb.Close()
+	_ = cn.db.Close()
 
 	cl, err := client.DialCluster(cn.addrs())
 	if err != nil {
@@ -321,7 +319,7 @@ func TestClusterFailoverPrefersDurableReplica(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.sdb.Close()
+	_ = cn.db.Close()
 
 	res, err := cl.Exec(`insert into kv values ('b', 2);`)
 	if err != nil {
@@ -376,7 +374,7 @@ func TestClusterFailoverTieBreakDeterministic(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.sdb.Close()
+	_ = cn.db.Close()
 
 	if _, err := cl.Exec(`insert into kv values ('b', 2);`); err != nil {
 		t.Fatalf("exec after primary death: %v", err)

@@ -436,8 +436,8 @@ func must2(err error) {
 // ---------------------------------------------------------------------------
 
 func b9() {
-	header("B9", "ablation: hash equi-join fast path vs nested loops")
-	fmt.Printf("%-8s %14s %14s %10s\n", "rows", "hash ms", "nested ms", "speedup")
+	header("B9", "ablation: planned hash equi-join vs nested loops (B14's comparison on one join)")
+	fmt.Printf("%-8s %14s %14s %10s\n", "rows", "planned ms", "nested ms", "speedup")
 	for _, n := range []int{100, 500, 1000, 2000} {
 		st := sstorage.New()
 		for _, name := range []string{"l", "r"} {
@@ -455,13 +455,13 @@ func b9() {
 		stmt, err := sqlparse.ParseStatement(`select count(*) from l, r where l.k = r.k and l.v > 2`)
 		must(err)
 		sel := stmt.(*sqlast.Select)
-		hashEnv := &exec.Env{Store: st}
-		nestedEnv := &exec.Env{Store: st, NoHashJoin: true}
-		hash := timeIt(5, func() { _, err := hashEnv.Query(sel); must(err) })
+		plannedEnv := &exec.Env{Store: st}
+		nestedEnv := &exec.Env{Store: st, NoPlanner: true}
+		planned := timeIt(5, func() { _, err := plannedEnv.Query(sel); must(err) })
 		nested := timeIt(3, func() { _, err := nestedEnv.Query(sel); must(err) })
 		fmt.Printf("%-8d %14.2f %14.2f %10.1f\n", n,
-			float64(hash.Microseconds())/1000, float64(nested.Microseconds())/1000,
-			float64(nested)/float64(hash))
+			float64(planned.Microseconds())/1000, float64(nested.Microseconds())/1000,
+			float64(nested)/float64(planned))
 	}
 }
 
@@ -686,15 +686,14 @@ func b13b() {
 		must(err)
 		db, err := sopr.OpenDurable(dir, sopr.WithFsync(sopr.FsyncAlways))
 		must(err)
-		sdb := sopr.Synchronized(db)
-		sdb.MustExec(`create table t (id int, v int); create table agg (n int);
+		db.MustExec(`create table t (id int, v int); create table agg (n int);
 			create rule tally when updated t.v
 			then update agg set n = n + 1
 			end`)
 		for w := 0; w < nw; w++ {
-			sdb.MustExec(fmt.Sprintf(`insert into t values (%d, 0)`, w))
+			db.MustExec(fmt.Sprintf(`insert into t values (%d, 0)`, w))
 		}
-		sdb.MustExec(`insert into agg values (0)`)
+		db.MustExec(`insert into agg values (0)`)
 		var wg sync.WaitGroup
 		t0 := time.Now()
 		for w := 0; w < nw; w++ {
@@ -703,14 +702,14 @@ func b13b() {
 				defer wg.Done()
 				stmt := fmt.Sprintf(`update t set v = v + 1 where id = %d`, w)
 				for j := 0; j < txns; j++ {
-					sdb.MustExec(stmt)
+					db.MustExec(stmt)
 				}
 			}(w)
 		}
 		wg.Wait()
 		d := time.Since(t0)
-		st := sdb.Stats()
-		must(sdb.Close())
+		st := db.Stats()
+		must(db.Close())
 		must(os.RemoveAll(dir))
 		total := nw * txns
 		perTxn := float64(d.Microseconds()) / float64(total)
@@ -827,7 +826,7 @@ func s1run(nc, totalOps int) (int, time.Duration) {
 	db := sopr.Open()
 	db.MustExec(`create table t (id int, v int); create table audit (id int, v int)`)
 	db.MustExec(b1Rule)
-	srv := server.New(sopr.Synchronized(db), server.Config{})
+	srv := server.New(db, server.Config{})
 	ln, err := server.Listen("127.0.0.1:0")
 	must(err)
 	go srv.Serve(ln)
@@ -897,7 +896,7 @@ func s1brun(nc, k, totalOps int) (int, time.Duration) {
 	db := sopr.Open()
 	db.MustExec(`create table t (id int, v int); create table audit (id int, v int)`)
 	db.MustExec(b1Rule)
-	srv := server.New(sopr.Synchronized(db), server.Config{})
+	srv := server.New(db, server.Config{})
 	ln, err := server.Listen("127.0.0.1:0")
 	must(err)
 	go srv.Serve(ln)
@@ -982,13 +981,12 @@ func s2() {
 		fmt.Fprintf(&ins, "(%d, %d)", i, i%97)
 	}
 	db.MustExec(ins.String())
-	sdb := sopr.Synchronized(db)
 
 	fmt.Printf("%-9s %-12s %12s %12s %12s\n", "readers", "writer", "reads/sec", "µs/read", "writes/sec")
 	var base float64
 	for _, withWriter := range []bool{false, true} {
 		for _, nr := range []int{1, 2, 4, 8} {
-			elapsed, writes := s2run(sdb, nr, s2TotalOps, withWriter)
+			elapsed, writes := s2run(db, nr, s2TotalOps, withWriter)
 			total := (s2TotalOps / nr) * nr
 			rps := float64(total) / elapsed.Seconds()
 			wlabel := "none"
@@ -1013,7 +1011,7 @@ func s2() {
 // optionally, one writer goroutine looping rule-firing transactions until
 // the readers finish) and returns the readers' wall time and the number
 // of write transactions that committed meanwhile.
-func s2run(sdb *sopr.SynchronizedDB, nr, total int, withWriter bool) (time.Duration, int64) {
+func s2run(db *sopr.DB, nr, total int, withWriter bool) (time.Duration, int64) {
 	stop := make(chan struct{})
 	var writes atomic.Int64
 	var wwg sync.WaitGroup
@@ -1028,8 +1026,8 @@ func s2run(sdb *sopr.SynchronizedDB, nr, total int, withWriter bool) (time.Durat
 					return
 				default:
 				}
-				sdb.MustExec(fmt.Sprintf(`insert into t values (%d, %d)`, i, i%97))
-				sdb.MustExec(fmt.Sprintf(`delete from t where id = %d`, i))
+				db.MustExec(fmt.Sprintf(`insert into t values (%d, %d)`, i, i%97))
+				db.MustExec(fmt.Sprintf(`delete from t where id = %d`, i))
 				writes.Add(2)
 				i++
 			}
@@ -1044,7 +1042,7 @@ func s2run(sdb *sopr.SynchronizedDB, nr, total int, withWriter bool) (time.Durat
 			defer wg.Done()
 			<-start
 			for j := 0; j < per; j++ {
-				benchSink = sdb.MustQuery(fmt.Sprintf(`select count(*) from t where v = %d`, (r*31+j)%97))
+				benchSink = db.MustQuery(fmt.Sprintf(`select count(*) from t where v = %d`, (r*31+j)%97))
 			}
 		}(r)
 	}

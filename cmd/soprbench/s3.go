@@ -1,5 +1,5 @@
 // S3: lock-free snapshot reads vs the previous shared-lock design, under
-// a hot writer. SynchronizedDB's Query now performs no mutex acquisition
+// a hot writer. sopr.DB's Query performs no mutex acquisition
 // at all — it loads the published MVCC snapshot with one atomic pointer
 // read — while the pre-snapshot design took a sync.RWMutex shared for
 // every query and exclusive for every write. The difference only shows
@@ -8,8 +8,8 @@
 // shared-lock read throughput collapses toward the writer's duty cycle,
 // while snapshot readers never wait on anything and scale with cores.
 // This experiment pits both against the same workload: the in-bench
-// rwDB wrapper reproduces the old locking verbatim, and the real
-// SynchronizedDB provides the snapshot path.
+// rwDB wrapper reproduces the old locking verbatim, and a plain shared
+// sopr.DB provides the snapshot path.
 package main
 
 import (
@@ -53,12 +53,6 @@ type s3reader interface {
 	Query(src string) (*sopr.Rows, error)
 }
 
-// sdbAdapter narrows SynchronizedDB to the s3reader shape.
-type sdbAdapter struct{ sdb *sopr.SynchronizedDB }
-
-func (a sdbAdapter) Exec(src string) (*sopr.Result, error) { return a.sdb.Exec(src) }
-func (a sdbAdapter) Query(src string) (*sopr.Rows, error)  { return a.sdb.Query(src) }
-
 func s3() {
 	header("S3", "snapshot reads vs shared-lock reads under a hot writer")
 	fmt.Printf("%-9s %-12s %12s %12s %12s\n", "readers", "path", "reads/sec", "µs/read", "writes/sec")
@@ -68,7 +62,7 @@ func s3() {
 			if path == "rwlock" {
 				r = &rwDB{db: s3seed()}
 			} else {
-				r = sdbAdapter{sdb: sopr.Synchronized(s3seed())}
+				r = s3seed()
 			}
 			elapsed, writes := s3run(r, nr, s3TotalOps)
 			total := (s3TotalOps / nr) * nr

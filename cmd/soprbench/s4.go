@@ -52,17 +52,16 @@ func s4run(nrep, total int) (rps, usPerRead, wps float64, lag uint64) {
 	defer os.RemoveAll(dir)
 	db, err := sopr.OpenDurable(dir, sopr.WithFsync(sopr.FsyncNever))
 	must(err)
-	sdb := sopr.Synchronized(db)
-	defer sdb.Close()
-	sdb.MustExec(`create table t (id int, v int); create table audit (id int, v int)`)
-	sdb.MustExec(b1Rule)
+	defer db.Close()
+	db.MustExec(`create table t (id int, v int); create table audit (id int, v int)`)
+	db.MustExec(b1Rule)
 	const rows = 4000
 	for base := 0; base < rows; base += 500 {
-		sdb.MustExec(insertScript(base, 500))
+		db.MustExec(insertScript(base, 500))
 	}
 
 	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 100 * time.Millisecond})
-	psrv := server.New(sdb, server.Config{Repl: src})
+	psrv := server.New(db, server.Config{Repl: src})
 	pln, err := server.Listen("127.0.0.1:0")
 	must(err)
 	go psrv.Serve(pln)

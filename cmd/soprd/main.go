@@ -278,12 +278,11 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 			if o.syncFollowers > 0 {
 				return fmt.Errorf("-sync-followers needs -data: an in-memory server ships no WAL")
 			}
-			sdb := sopr.Synchronized(db)
-			defer func() { _ = sdb.Close() }()
+			defer func() { _ = db.Close() }()
 			if o.trace {
-				sdb.TraceTo(os.Stderr)
+				db.TraceTo(os.Stderr)
 			}
-			backend = sdb
+			backend = db
 		}
 	}
 

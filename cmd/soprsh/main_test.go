@@ -127,7 +127,7 @@ func TestErrorLineReporting(t *testing.T) {
 // startTestServer serves db for the -connect path tests.
 func startTestServer(t *testing.T, db *sopr.DB) string {
 	t.Helper()
-	srv := server.New(sopr.Synchronized(db), server.Config{})
+	srv := server.New(db, server.Config{})
 	ln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

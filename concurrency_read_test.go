@@ -15,7 +15,7 @@ import (
 // still holding. The same must hold for Dump output — it is rendered from
 // cloned tuples of an immutable published snapshot, so a dump taken before
 // a mutation reloads to exactly the pre-mutation state. This is what makes
-// it safe for SynchronizedDB to serve Query and Dump with no lock while a
+// it safe for a shared DB to serve Query and Dump with no lock while a
 // writer proceeds.
 func TestRowsSnapshotImmutable(t *testing.T) {
 	db := Open()
@@ -105,12 +105,12 @@ func stressScript(n int) []string {
 }
 
 // TestConcurrentReadersWriterStress runs reader goroutines against one
-// writer over a rule-triggering workload. Run under -race (CI does), it
-// checks the two halves of the concurrency contract:
+// writer over a rule-triggering workload, all sharing one *DB. Run under
+// -race (CI does), it checks the two halves of the concurrency contract:
 //
 //   - every Rows snapshot a reader observes is internally consistent — the
 //     mirror/unmirror rule invariant holds in every committed state a
-//     shared-lock query can see;
+//     lock-free query can see;
 //   - the writer's effect is identical to serial execution — the final dump
 //     equals a shadow database that executed the same script sequentially.
 func TestConcurrentReadersWriterStress(t *testing.T) {
@@ -119,7 +119,6 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 
 	db := Open()
 	db.MustExec(stressSchema)
-	sdb := Synchronized(db)
 	script := stressScript(writerOps)
 
 	var done atomic.Bool
@@ -131,7 +130,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 		defer wg.Done()
 		defer done.Store(true)
 		for _, op := range script {
-			if _, err := sdb.Exec(op); err != nil {
+			if _, err := db.Exec(op); err != nil {
 				errs <- fmt.Errorf("writer: %w", err)
 				return
 			}
@@ -146,7 +145,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; !done.Load(); i++ {
-				rows, err := sdb.Query(invariantQuery)
+				rows, err := db.Query(invariantQuery)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return
@@ -159,13 +158,13 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 				}
 				switch {
 				case i%16 == 5:
-					s := sdb.Stats()
+					s := db.Stats()
 					if s.Committed < 0 || s.HeapScans < 0 {
 						errs <- fmt.Errorf("reader %d: bogus stats %+v", r, s)
 						return
 					}
 				case i%64 == 9:
-					if err := sdb.Dump(io.Discard); err != nil {
+					if err := db.Dump(io.Discard); err != nil {
 						errs <- fmt.Errorf("reader %d: dump: %w", r, err)
 						return
 					}
@@ -190,7 +189,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 		shadow.MustExec(op)
 	}
 	var got strings.Builder
-	if err := sdb.Dump(&got); err != nil {
+	if err := db.Dump(&got); err != nil {
 		t.Fatal(err)
 	}
 	want, err := shadow.DumpString()
@@ -201,7 +200,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 		t.Errorf("concurrent dump differs from serial shadow:\n--- concurrent ---\n%s\n--- serial ---\n%s", got.String(), want)
 	}
 	// Sanity: the workload actually exercised the rule system.
-	s := sdb.Stats()
+	s := db.Stats()
 	if s.RuleFirings == 0 || s.Committed == 0 {
 		t.Errorf("workload fired no rules: %+v", s)
 	}

@@ -94,29 +94,37 @@ func CompileConstraint(c Constraint) ([]string, error) {
 	return c.inner.Compile()
 }
 
-// AddConstraint compiles the constraint and installs its rules.
+// AddConstraint compiles the constraint and installs its rules, under the
+// write mutex so no transaction runs against a half-installed constraint.
+// Rule definitions are fsynced as they are logged, so there is no commit
+// to wait for afterwards.
 func (db *DB) AddConstraint(c Constraint) error {
 	stmts, err := c.inner.Compile()
 	if err != nil {
 		return err
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for _, s := range stmts {
-		if _, err := db.Exec(s); err != nil {
+		if _, err := db.eng.Exec(s); err != nil {
 			// Roll back already-installed rules of this constraint.
 			for _, name := range c.inner.RuleNames() {
-				db.Exec("drop rule " + name) //nolint:errcheck
+				db.eng.Exec("drop rule " + name) //nolint:errcheck
 			}
-			return fmt.Errorf("sopr: installing constraint: %w", err)
+			return fmt.Errorf("sopr: installing constraint: %w", wrapErr(err))
 		}
 	}
 	return nil
 }
 
-// DropConstraint removes the rules of a previously added constraint.
+// DropConstraint removes the rules of a previously added constraint,
+// under the write mutex.
 func (db *DB) DropConstraint(c Constraint) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	var firstErr error
 	for _, name := range c.inner.RuleNames() {
-		if _, err := db.Exec("drop rule " + name); err != nil && firstErr == nil {
+		if _, err := db.eng.Exec("drop rule " + name); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

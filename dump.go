@@ -20,9 +20,19 @@ func (db *DB) DumpString() (string, error) {
 	return b.String(), nil
 }
 
-// Load executes a dump script against this database. Syntax errors are
-// reported as *ParseError with their 1-based position, like Exec.
-func (db *DB) Load(r io.Reader) error { return wrapErr(db.eng.Load(r)) }
+// Load executes a dump script against this database through Exec's write
+// path. Syntax errors are reported as *ParseError with their 1-based
+// position, like Exec.
+func (db *DB) Load(r io.Reader) error {
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return db.LoadString(string(src))
+}
 
 // LoadString is Load from a string.
-func (db *DB) LoadString(src string) error { return wrapErr(db.eng.Load(strings.NewReader(src))) }
+func (db *DB) LoadString(src string) error {
+	_, err := db.Exec(src)
+	return err
+}

@@ -146,6 +146,8 @@ func (db *DB) Recovery() RecoveryInfo { return db.recovery }
 // the log segments it covers. Recovery after a checkpoint replays only the
 // records appended since. It is an error on a database without a log.
 func (db *DB) Checkpoint() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.eng.Checkpoint()
 }
 
@@ -175,5 +177,7 @@ func (db *DB) Close() error {
 	if db.walLog == nil {
 		return nil
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.walLog.Close()
 }

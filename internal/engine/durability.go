@@ -180,8 +180,8 @@ func (e *Engine) buildCommitRecord(eff *rules.Effect) (*wal.CommitRecord, error)
 // durability: the record is framed and written but not yet fsynced — the
 // owner must call wal.Log.WaitDurable on the returned LSN before
 // acknowledging the transaction, which is where concurrent committers
-// coalesce onto one group-commit fsync (sopr.DB and SynchronizedDB do
-// this after releasing the write mutex).
+// coalesce onto one group-commit fsync (sopr.DB and a promoted
+// repl.Follower do this after releasing their write mutex).
 func (e *Engine) logCommit(eff *rules.Effect) (uint64, error) {
 	rec, err := e.buildCommitRecord(eff)
 	if err != nil {

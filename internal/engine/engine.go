@@ -61,11 +61,8 @@ type Config struct {
 	// Used by the differential harness's index-ablation parity check;
 	// semantics are identical either way.
 	NoIndex bool
-	// NoHashJoin disables the hash equi-join fast path engine-wide (see
-	// exec.Env.NoHashJoin). Semantics are identical either way.
-	NoHashJoin bool
 	// NoPlanner disables the cost-based join planner engine-wide (see
-	// exec.Env.NoPlanner), leaving the legacy access paths. Used by the
+	// exec.Env.NoPlanner), leaving nested-loop joins. Used by the
 	// differential harness's planner-ablation parity check; semantics are
 	// identical either way.
 	NoPlanner bool
@@ -406,11 +403,11 @@ func (e *Engine) ExecBatch(srcs []string) (*TxnResult, error) {
 // over its frozen structures, and the only shared words touched are the
 // atomic access-path counters — so any number of Query calls run
 // concurrently with each other and with the write path, each seeing a
-// consistent committed state (sopr.SynchronizedDB relies on exactly this
-// property).
+// consistent committed state (sopr.DB's lock-free reads rely on exactly
+// this property).
 func (e *Engine) Query(sel *sqlast.Select) (*exec.Result, error) {
 	env := &exec.Env{Store: e.snap.Load().store, NoIndex: e.cfg.NoIndex,
-		NoHashJoin: e.cfg.NoHashJoin, NoPlanner: e.cfg.NoPlanner, Counters: &e.planCounters}
+		NoPlanner: e.cfg.NoPlanner, Counters: &e.planCounters}
 	return env.Query(sel)
 }
 
@@ -419,18 +416,18 @@ func (e *Engine) Query(sel *sqlast.Select) (*exec.Result, error) {
 // it.
 func (e *Engine) Explain(ex *sqlast.Explain) (*exec.Result, error) {
 	env := &exec.Env{Store: e.snap.Load().store, NoIndex: e.cfg.NoIndex,
-		NoHashJoin: e.cfg.NoHashJoin, NoPlanner: e.cfg.NoPlanner}
+		NoPlanner: e.cfg.NoPlanner}
 	return env.Explain(ex.Stmt)
 }
 
 // newEnv returns a fresh evaluation environment carrying the engine's
 // ablation flags (and, inside rule processing, the rule's transition
 // tables). Every evaluation the engine performs goes through here so that
-// Config.NoIndex/NoHashJoin ablations cover conditions and actions, not
+// Config.NoIndex/NoPlanner ablations cover conditions and actions, not
 // just top-level queries.
 func (e *Engine) newEnv(trans *rules.TransSource) *exec.Env {
 	env := &exec.Env{Store: e.store, NoIndex: e.cfg.NoIndex,
-		NoHashJoin: e.cfg.NoHashJoin, NoPlanner: e.cfg.NoPlanner, Counters: &e.planCounters}
+		NoPlanner: e.cfg.NoPlanner, Counters: &e.planCounters}
 	if trans != nil {
 		env.Trans = trans
 	}

@@ -15,8 +15,8 @@ package exec
 // select-observation (Section 5.1) are indistinguishable from the scan
 // path. Whenever a conjunct cannot be proven independent of the block —
 // or an index cannot answer a probe exactly (see storage.probeKey) — the
-// pass declines and the scan path runs. Like the hash-join fast path,
-// indexed access evaluates WHERE only on candidate rows, so a predicate
+// pass declines and the scan path runs. Like planned joins, indexed
+// access evaluates WHERE only on candidate rows, so a predicate
 // whose evaluation errors on non-candidate rows may not error here.
 
 import (

@@ -75,26 +75,24 @@ var (
 // An Env is per-evaluation scratch state: every query gets a fresh one,
 // and evaluation keeps all intermediate state (scopes, materialized
 // relations, hash-join tables, aggregate groups) local to the call. That
-// discipline is load-bearing for concurrency — the lock-free read path
-// (sopr.SynchronizedDB) runs many Envs over published snapshots at once,
-// so nothing here may write to the Store or to any package-level state.
+// discipline is load-bearing for concurrency — sopr.DB's lock-free read
+// path runs many Envs over published snapshots at once, concurrently with
+// the one writer's Env over the live store, so nothing here may write to
+// a snapshot Store or to any package-level state.
 // The only shared words the read path touches are the storage layer's
 // atomic access-path counters.
 type Env struct {
 	Store    Store
 	Trans    TransTableSource
 	Observer SelectObserver
-	// NoHashJoin disables the hash equi-join fast path (used by the
-	// ablation benchmark; semantics are identical either way).
-	NoHashJoin bool
 	// NoIndex disables the secondary-index access path (see access.go),
 	// forcing heap scans. Used by the differential tests and the ablation
 	// benchmark; semantics are identical either way.
 	NoIndex bool
 	// NoPlanner disables the cost-based Volcano join planner (plan.go),
-	// leaving only the legacy two-relation hash fast path. Ablation flag
-	// for the differential tests and benchmarks; semantics are identical
-	// either way.
+	// leaving nested loops in FROM order. Ablation flag for the
+	// differential tests and benchmarks; semantics are identical either
+	// way.
 	NoPlanner bool
 	// JoinBuildBudget caps the build-side row count of a planned hash
 	// join; larger build sides use a sort-merge join instead. 0 means the

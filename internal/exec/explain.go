@@ -201,21 +201,10 @@ func (e *Env) explainJoins(sel *sqlast.Select, infos []fromBinding, paths []acce
 	if sel.Where != nil {
 		conds = e.collectEquiConds(sel.Where, prels)
 	}
-	planned := !e.NoPlanner && !e.NoHashJoin && len(conds) > 0
-
-	if !planned {
+	if e.NoPlanner || len(conds) == 0 {
 		lines := []string{"nested loop (FROM order)"}
 		for _, p := range paths {
 			lines = append(lines, "  "+p.desc)
-		}
-		if n := len(prels); n == 2 && !e.NoHashJoin && sel.Where != nil {
-			if c0, c1, ok := equiJoinConjunct(sel.Where, prels[0], prels[1]); ok {
-				lines[0] = fmt.Sprintf("hash join (%s.%s = %s.%s)",
-					prels[0].binding, prels[0].cols[c0], prels[1].binding, prels[1].cols[c1])
-				for i := range paths {
-					lines[i+1] = "  " + paths[i].desc
-				}
-			}
 		}
 		return lines, nil
 	}

@@ -10,8 +10,8 @@ package exec
 // greedily from per-table cardinality and per-column distinct-value
 // statistics maintained incrementally by internal/storage.
 //
-// Semantics preservation follows the same contract as the access-path and
-// two-relation hash-join fast paths: a combination may be skipped only
+// Semantics preservation follows the same contract as the index access
+// path: a combination may be skipped only
 // when a null-rejecting top-level AND equi-conjunct (`a.x = b.y`) rules
 // it out — under three-valued logic a False or Unknown conjunct makes the
 // whole AND non-True — and the full WHERE is still evaluated on every
@@ -60,7 +60,7 @@ type equiCond struct {
 	lrel, lcol int
 	rrel, rcol int
 	// exact selects the exact-integer keyspace: both columns are declared
-	// INTEGER, so int-int equality needs no float image (see joinKeysExact).
+	// INTEGER, so int-int equality needs no float image (see condExact).
 	exact bool
 }
 
@@ -124,10 +124,31 @@ func resolveInRels(ref *sqlast.ColumnRef, rels []*relation) (col, rel int) {
 	return col, rel
 }
 
+// condExact selects the keyspace for an equi-join's hash table or merge
+// comparison: when both join columns are declared INTEGER every stored
+// value is an int64 (coerceRow enforces column kind homogeneity) and
+// int-int comparison is exact, so the exact-integer keyspace applies and
+// distinct int64s above 2^53 keep distinct buckets. Any other combination
+// goes through the float-image keyspace, matching value.Compare's
+// cross-kind equality (which converts mixed int/float operands to
+// float64).
 func (e *Env) condExact(rels []*relation, lr, lc, rr, rc int) bool {
 	k0, ok0 := e.relColumnKind(rels[lr], lc)
 	k1, ok1 := e.relColumnKind(rels[rr], rc)
 	return ok0 && ok1 && k0 == value.KindInt && k1 == value.KindInt
+}
+
+// relColumnKind reports the declared kind of a relation's column, when
+// the relation is backed by a catalog schema (base or transition table).
+func (e *Env) relColumnKind(rel *relation, col int) (value.Kind, bool) {
+	if rel.table == "" {
+		return value.KindNull, false
+	}
+	schema, err := e.lookupSchema(rel.table)
+	if err != nil || col < 0 || col >= len(schema.Columns) {
+		return value.KindNull, false
+	}
+	return schema.Columns[col].Type, true
 }
 
 // joinStep joins relation right into the set built so far.

@@ -55,7 +55,7 @@ func runBoth(t *testing.T, e *Env, src string) {
 	sel := st.(*sqlast.Select)
 	on := &Env{Store: e.Store}
 	off := &Env{Store: e.Store, NoPlanner: true}
-	naive := &Env{Store: e.Store, NoPlanner: true, NoHashJoin: true, NoIndex: true}
+	naive := &Env{Store: e.Store, NoPlanner: true, NoIndex: true}
 	want, err := naive.Query(sel)
 	if err != nil {
 		t.Fatalf("naive %q: %v", src, err)
@@ -69,6 +69,41 @@ func runBoth(t *testing.T, e *Env, src string) {
 			t.Errorf("%s diverges on %q:\nplanned:\n%s\nnaive:\n%s", name, src, got, want)
 		}
 	}
+}
+
+// joinEnv builds a store with two join tables, l (k int) and r (k float),
+// carrying NULLs, duplicates and cross-kind numeric keys, plus a small
+// third table m.
+func joinEnv(t *testing.T, rows int, seed int64) *Env {
+	t.Helper()
+	e := &Env{Store: storage.New()}
+	mustExecDDL(t, e, `create table l (k int, lv varchar)`)
+	mustExecDDL(t, e, `create table r (k float, rv varchar)`)
+	mustExecDDL(t, e, `create table m (k int)`)
+	rng := rand.New(rand.NewSource(seed))
+	var lb, rb strings.Builder
+	lb.WriteString("insert into l values ")
+	rb.WriteString("insert into r values ")
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			lb.WriteString(", ")
+			rb.WriteString(", ")
+		}
+		lk := fmt.Sprintf("%d", rng.Intn(rows/2+1))
+		if rng.Intn(10) == 0 {
+			lk = "null"
+		}
+		rk := fmt.Sprintf("%d.0", rng.Intn(rows/2+1))
+		if rng.Intn(10) == 0 {
+			rk = "null"
+		}
+		fmt.Fprintf(&lb, "(%s, 'l%d')", lk, i)
+		fmt.Fprintf(&rb, "(%s, 'r%d')", rk, i)
+	}
+	mustOp(t, e, lb.String())
+	mustOp(t, e, rb.String())
+	mustOp(t, e, `insert into m values (1), (2)`)
+	return e
 }
 
 // TestPlannerParity: the planned join path must be observationally
@@ -95,6 +130,47 @@ func TestPlannerParity(t *testing.T) {
 		   where e.dept_no = d.dept_no and p.dept_no = d.dept_no limit 7`,
 		// Cross-product component: emp-dept connected, proj unconnected.
 		`select count(*) from emp e, dept d, proj p where e.dept_no = d.dept_no`,
+	} {
+		runBoth(t, e, src)
+	}
+}
+
+// TestHashJoinEquivalence: the planner's hash join must match the
+// nested-loop driver on join-key edge cases — NULL and duplicate keys,
+// int = float cross-kind keys, reversed sides, a residual predicate,
+// aliases, emission order without ORDER BY, and aggregation.
+func TestHashJoinEquivalence(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		e := joinEnv(t, 60, seed)
+		for _, src := range []string{
+			// int = float cross-kind key.
+			`select l.lv, r.rv from l, r where l.k = r.k order by l.lv, r.rv`,
+			// Reversed sides.
+			`select l.lv, r.rv from l, r where r.k = l.k order by l.lv, r.rv`,
+			// Residual predicate alongside the equi conjunct.
+			`select l.lv, r.rv from l, r where l.k = r.k and l.lv <> r.rv order by l.lv, r.rv`,
+			// Aliased relations.
+			`select a.lv from l a, r b where a.k = b.k order by a.lv`,
+			// No ORDER BY: physical emission order must also match.
+			`select l.lv, r.rv from l, r where l.k = r.k and r.k > 1`,
+			// Aggregation over the join.
+			`select count(*), min(l.lv) from l, r where l.k = r.k`,
+		} {
+			runBoth(t, e, src)
+		}
+	}
+}
+
+// TestHashJoinFallbackCases: join shapes other than one two-relation
+// equi conjunct — a three-way join, a disjunction, a non-column operand,
+// and a self-join on one key — agree with the nested-loop driver too.
+func TestHashJoinFallbackCases(t *testing.T) {
+	e := joinEnv(t, 20, 9)
+	for _, src := range []string{
+		`select count(*) from l, r, m where l.k = r.k and l.k = m.k`,
+		`select count(*) from l, r where l.k = r.k or l.k is null`,
+		`select count(*) from l, r where l.k + 0 = r.k`,
+		`select count(*) from l a, l b where a.k = b.k`,
 	} {
 		runBoth(t, e, src)
 	}
@@ -144,7 +220,7 @@ func TestMergeJoinBudget(t *testing.T) {
 	st, _ := sqlparse.ParseStatement(src)
 	sel := st.(*sqlast.Select)
 	tiny := &Env{Store: e.Store, JoinBuildBudget: 1}
-	naive := &Env{Store: e.Store, NoPlanner: true, NoHashJoin: true}
+	naive := &Env{Store: e.Store, NoPlanner: true}
 	got, err := tiny.Query(sel)
 	if err != nil {
 		t.Fatal(err)

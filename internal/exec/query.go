@@ -221,19 +221,10 @@ func (e *Env) forEachCombo(sel *sqlast.Select, sc *scope, rels []*relation, fn f
 		}
 	}
 	// Cost-based planned join execution for multi-relation blocks with
-	// equi-join conjuncts (see plan.go). NoHashJoin also disables it: the
-	// planner's operators are hash/merge join machinery, and the ablation
-	// configurations want true nested loops.
-	if !e.NoPlanner && !e.NoHashJoin && sel.Where != nil {
+	// equi-join conjuncts (see plan.go); NoPlanner leaves nested loops.
+	if !e.NoPlanner && sel.Where != nil {
 		if plan := e.planJoins(sel, rels); plan != nil {
 			return e.forEachComboPlanned(sel, sc, rels, plan, fn)
-		}
-	}
-	// Legacy hash equi-join fast path for two-relation joins (see
-	// hashjoin.go); reached only with the planner disabled.
-	if n == 2 && !e.NoHashJoin && sel.Where != nil {
-		if c0, c1, ok := equiJoinConjunct(sel.Where, rels[0], rels[1]); ok {
-			return e.forEachComboHash(sel, sc, rels, c0, c1, fn)
 		}
 	}
 	idx := make([]int, n)

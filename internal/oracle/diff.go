@@ -76,8 +76,8 @@ type Options struct {
 //
 // Unless SkipMetamorphic is set it then runs the metamorphic checks:
 //
-//   - index ablation: an engine with NoIndex+NoHashJoin+NoPlanner (every
-//     access-path and join fast path off) must track the primary engine
+//   - index ablation: an engine with NoIndex+NoPlanner (index access and
+//     planned joins off) must track the primary engine
 //     transaction by transaction (access paths must not change
 //     semantics);
 //   - dump→reload: loading the primary engine's dump into a fresh engine
@@ -112,16 +112,16 @@ func RunDiff(w *gen.Workload, opts Options) *Divergence {
 
 	// Planner-off twin: identical configuration except the cost-based
 	// planner is disabled, so every query runs the naive FROM-order nested
-	// loop (with the legacy two-way hash fast path).
+	// loop.
 	nop := engine.New(engine.Config{MaxRuleTransitions: w.Cap, SelectHook: choose, NoPlanner: true})
 	if _, err := nop.Exec(w.SetupSQL()); err != nil {
 		return diverge("setup", -1, "noplanner engine rejected setup: %v", err)
 	}
 
-	// Ablation engine: all access-path fast paths off.
+	// Ablation engine: index access and planned joins off.
 	var slow *engine.Engine
 	if !opts.SkipMetamorphic {
-		slow = engine.New(engine.Config{MaxRuleTransitions: w.Cap, SelectHook: choose, NoIndex: true, NoHashJoin: true, NoPlanner: true})
+		slow = engine.New(engine.Config{MaxRuleTransitions: w.Cap, SelectHook: choose, NoIndex: true, NoPlanner: true})
 		if _, err := slow.Exec(w.SetupSQL()); err != nil {
 			return diverge("setup", -1, "ablation engine rejected setup: %v", err)
 		}

@@ -1,6 +1,7 @@
 // Durable-follower lifecycle tests: local WAL recovery across restarts,
-// the reset-and-rebootstrap path when histories diverge, and the idle-ack
-// timer that keeps the primary's retention pin moving.
+// the reset-and-rebootstrap path when histories diverge, the idle-ack
+// timer that keeps the primary's retention pin moving, and durable
+// acknowledgement after promotion.
 package repl_test
 
 import (
@@ -11,6 +12,7 @@ import (
 	"sopr"
 	"sopr/internal/repl"
 	"sopr/internal/server"
+	"sopr/internal/wal"
 )
 
 // startReplicaDir is startReplica with a data directory: the follower
@@ -152,10 +154,9 @@ func TestIdleAckReleasesRetentionPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdb := sopr.Synchronized(db)
-	defer sdb.Close()
+	defer db.Close()
 	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 30 * time.Second, Logf: t.Logf})
-	srv := server.New(sdb, server.Config{Repl: src})
+	srv := server.New(db, server.Config{Repl: src})
 	ln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,13 +178,13 @@ func TestIdleAckReleasesRetentionPromptly(t *testing.T) {
 	defer fl.Close()
 	go fl.Run()
 
-	if _, err := sdb.Exec(testSchema); err != nil {
+	if _, err := db.Exec(testSchema); err != nil {
 		t.Fatal(err)
 	}
 	// A quick burst, then silence: the final LSN's ack can only come from
 	// the idle timer.
 	for i := 0; i < 5; i++ {
-		if _, err := sdb.Exec(`insert into emp values ('burst', 1, 1, 0);`); err != nil {
+		if _, err := db.Exec(`insert into emp values ('burst', 1, 1, 0);`); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,5 +203,45 @@ func TestIdleAckReleasesRetentionPromptly(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("idle ack took %v; the timer should deliver it in milliseconds", elapsed)
+	}
+}
+
+// TestPromotedFollowerExecDurable: a promoted durable follower is a
+// complete primary, so it acknowledges a write only once the commit
+// record is durable — a crash that drops every unsynced byte right after
+// the acknowledgement loses nothing.
+func TestPromotedFollowerExecDurable(t *testing.T) {
+	mem := wal.NewMemFS()
+	cfg := repl.FollowerConfig{Primary: "127.0.0.1:1", DataDir: "data", FS: mem, Logf: t.Logf}
+	fl, err := repl.NewFollower(cfg)
+	if err != nil {
+		t.Fatalf("NewFollower: %v", err)
+	}
+	if _, err := fl.Promote(0); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	go fl.Run() // idles once promoted; Close stops it
+	t.Cleanup(fl.Close)
+	if _, err := fl.Exec(`create table t (a int)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Exec(`insert into t values (1)`); err != nil {
+		t.Fatal(err)
+	}
+	mem.DropUnsynced() // crash: the acknowledged commit must already be on disk
+
+	l, rec, err := wal.Open("data", wal.Options{FS: mem})
+	if err != nil {
+		t.Fatalf("recover follower log: %v", err)
+	}
+	defer l.Close()
+	commits := 0
+	for _, r := range rec.Records {
+		if r.Kind == wal.KindCommit {
+			commits++
+		}
+	}
+	if commits != 1 {
+		t.Fatalf("recovered %d commit records after one acknowledged insert, want 1", commits)
 	}
 }

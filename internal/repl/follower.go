@@ -103,10 +103,12 @@ type Follower struct {
 	log *wal.Log // nil in-memory
 	src *Source  // non-nil when durable: serves joins over log
 
-	// mu guards the engine: stream apply and promoted writes take it
-	// exclusively, queries/dumps/stats share it (the same discipline as
-	// SynchronizedDB on the primary). Promote takes it to exclude an
-	// in-flight apply while it appends the epoch record.
+	// mu guards the engine pointer and the write path: stream apply,
+	// promoted writes and resets (which swap eng) take it exclusively.
+	// Queries, dumps and stats take it shared only to read a stable eng;
+	// the engine's own reads are lock-free snapshot loads, as on the
+	// primary. Promote takes it to exclude an in-flight apply while it
+	// appends the epoch record.
 	mu  sync.RWMutex
 	eng *engine.Engine
 
@@ -811,6 +813,13 @@ func (f *Follower) Exec(src string) (*sopr.Result, error) {
 	f.mu.Lock()
 	txn, err := f.eng.Exec(src)
 	f.mu.Unlock()
+	// Acknowledge only a durable commit; the wait runs outside mu so
+	// concurrent committers share one group-commit fsync, as on a primary.
+	if f.log != nil && txn != nil && txn.LastLSN > 0 {
+		if werr := f.log.WaitDurable(txn.LastLSN); werr != nil && err == nil {
+			err = werr
+		}
+	}
 	if f.log != nil {
 		f.advanceTo(f.log.NextLSN() - 1)
 	} else {

@@ -33,7 +33,7 @@ type PrimaryConfig struct {
 }
 
 // Primary wraps a durable sopr.DB as the leader-side server backend. On
-// top of the plain synchronized database it adds the failover machinery:
+// top of the plain database it adds the failover machinery:
 //
 //   - fencing: when any channel (an exec request, a stream join, a
 //     follower ack) reveals a promotion epoch above this log's, the node
@@ -48,7 +48,6 @@ type PrimaryConfig struct {
 type Primary struct {
 	cfg PrimaryConfig
 	db  *sopr.DB
-	sdb *sopr.SynchronizedDB
 	log *wal.Log
 	src *Source
 
@@ -63,8 +62,8 @@ type Primary struct {
 }
 
 // NewPrimary wraps an open durable database for serving. The database
-// must have a write-ahead log (OpenDurable); the wrapped DB must not be
-// used directly afterwards.
+// must have a write-ahead log (OpenDurable); writes routed to it directly
+// afterwards bypass fencing and sync-commit (see DB).
 func NewPrimary(db *sopr.DB, cfg PrimaryConfig) (*Primary, error) {
 	l := db.WALLog()
 	if l == nil {
@@ -73,7 +72,7 @@ func NewPrimary(db *sopr.DB, cfg PrimaryConfig) (*Primary, error) {
 	if cfg.SyncTimeout <= 0 {
 		cfg.SyncTimeout = 2 * time.Second
 	}
-	p := &Primary{cfg: cfg, db: db, sdb: sopr.Synchronized(db), log: l}
+	p := &Primary{cfg: cfg, db: db, log: l}
 	scfg := cfg.Source
 	scfg.OnFenced = p.ObserveEpoch
 	if scfg.Logf == nil {
@@ -89,10 +88,10 @@ func (p *Primary) logf(format string, args ...any) {
 	}
 }
 
-// DB exposes the synchronized database for leader-local plumbing (init
-// scripts, tracing). Routing Exec through it bypasses fencing and
-// sync-commit; servers must use the Primary itself as the backend.
-func (p *Primary) DB() *sopr.SynchronizedDB { return p.sdb }
+// DB exposes the database for leader-local plumbing (init scripts,
+// tracing). Routing Exec through it bypasses fencing and sync-commit;
+// servers must use the Primary itself as the backend.
+func (p *Primary) DB() *sopr.DB { return p.db }
 
 // ReplSource exposes the WAL stream source for MsgReplJoin sessions.
 func (p *Primary) ReplSource() *Source { return p.src }
@@ -219,7 +218,7 @@ func (p *Primary) Follow(leader string, epoch uint64) error {
 func (p *Primary) Exec(src string) (*sopr.Result, error) {
 	return p.execSync(
 		func(f *Follower) (*sopr.Result, error) { return f.Exec(src) },
-		func() (*sopr.Result, error) { return p.sdb.Exec(src) },
+		func() (*sopr.Result, error) { return p.db.Exec(src) },
 	)
 }
 
@@ -233,7 +232,7 @@ func (p *Primary) ExecBatch(stmts []string) (*sopr.Result, error) {
 		// the typed read-only error; joining the batch gives it one script
 		// to refuse.
 		func(f *Follower) (*sopr.Result, error) { return f.Exec(strings.Join(stmts, ";\n")) },
-		func() (*sopr.Result, error) { return p.sdb.ExecBatch(stmts) },
+		func() (*sopr.Result, error) { return p.db.ExecBatch(stmts) },
 	)
 }
 
@@ -279,7 +278,7 @@ func (p *Primary) Query(src string) (*sopr.Rows, error) {
 	if f := p.backend(); f != nil {
 		return f.Query(src)
 	}
-	return p.sdb.Query(src)
+	return p.db.Query(src)
 }
 
 // Dump writes the committed state as an executable script.
@@ -287,7 +286,7 @@ func (p *Primary) Dump(w io.Writer) error {
 	if f := p.backend(); f != nil {
 		return f.Dump(w)
 	}
-	return p.sdb.Dump(w)
+	return p.db.Dump(w)
 }
 
 // Stats reports engine counters.
@@ -295,7 +294,7 @@ func (p *Primary) Stats() sopr.Stats {
 	if f := p.backend(); f != nil {
 		return f.Stats()
 	}
-	return p.sdb.Stats()
+	return p.db.Stats()
 }
 
 // CurrentLSN reports the last durable LSN (the read-your-writes token).
@@ -303,7 +302,7 @@ func (p *Primary) CurrentLSN() uint64 {
 	if f := p.backend(); f != nil {
 		return f.CurrentLSN()
 	}
-	return p.sdb.CurrentLSN()
+	return p.db.CurrentLSN()
 }
 
 // WaitForLSN implements read-your-writes waits; a leading primary is
@@ -320,11 +319,11 @@ func (p *Primary) Checkpoint() error {
 	if f := p.backend(); f != nil {
 		return f.Checkpoint()
 	}
-	return p.sdb.Checkpoint()
+	return p.db.Checkpoint()
 }
 
 // Recovered reports whether the wrapped database recovered prior state.
-func (p *Primary) Recovered() bool { return p.sdb.Recovered() }
+func (p *Primary) Recovered() bool { return p.db.Recovered() }
 
 // Close shuts the node down: a demoted node stops its follower loop (which
 // closes the shared log); a leading one closes the database.
@@ -333,7 +332,7 @@ func (p *Primary) Close() error {
 		f.Close()
 		return nil
 	}
-	return p.sdb.Close()
+	return p.db.Close()
 }
 
 // ReplStats reports the node's replication state.

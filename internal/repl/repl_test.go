@@ -32,7 +32,6 @@ then update emp set bonus = 100 where name in (select name from inserted emp) en
 // primary is a durable soprd-shaped node under test.
 type primary struct {
 	addr string
-	sdb  *sopr.SynchronizedDB
 	db   *sopr.DB
 	srv  *server.Server
 }
@@ -43,15 +42,14 @@ func startPrimary(t *testing.T, dir string) *primary {
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	sdb := sopr.Synchronized(db)
 	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
-	srv := server.New(sdb, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
+	srv := server.New(db, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
 	ln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	go srv.Serve(ln)
-	p := &primary{addr: ln.Addr().String(), sdb: sdb, db: db, srv: srv}
+	p := &primary{addr: ln.Addr().String(), db: db, srv: srv}
 	t.Cleanup(func() { p.stop(t) })
 	return p
 }
@@ -63,9 +61,8 @@ func restartPrimary(t *testing.T, dir, addr string) *primary {
 	if err != nil {
 		t.Fatalf("reopen durable: %v", err)
 	}
-	sdb := sopr.Synchronized(db)
 	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
-	srv := server.New(sdb, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
+	srv := server.New(db, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
 	var ln net.Listener
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -79,7 +76,7 @@ func restartPrimary(t *testing.T, dir, addr string) *primary {
 		time.Sleep(20 * time.Millisecond)
 	}
 	go srv.Serve(ln)
-	p := &primary{addr: addr, sdb: sdb, db: db, srv: srv}
+	p := &primary{addr: addr, db: db, srv: srv}
 	t.Cleanup(func() { p.stop(t) })
 	return p
 }
@@ -92,13 +89,13 @@ func (p *primary) stop(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = p.srv.Shutdown(ctx)
-	_ = p.sdb.Close()
+	_ = p.db.Close()
 	p.srv = nil
 }
 
 func (p *primary) exec(t *testing.T, src string) *sopr.Result {
 	t.Helper()
-	res, err := p.sdb.Exec(src)
+	res, err := p.db.Exec(src)
 	if err != nil {
 		t.Fatalf("primary exec: %v", err)
 	}
@@ -108,7 +105,7 @@ func (p *primary) exec(t *testing.T, src string) *sopr.Result {
 func (p *primary) dump(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	if err := p.sdb.Dump(&b); err != nil {
+	if err := p.db.Dump(&b); err != nil {
 		t.Fatalf("primary dump: %v", err)
 	}
 	return b.String()
@@ -242,7 +239,7 @@ func TestCheckpointBootstrap(t *testing.T) {
 		p.exec(t, fmt.Sprintf(`insert into emp values ('e%d', %d, 1000, 0);`, i, i))
 	}
 	// Checkpoint rotates and prunes: LSN 1 is no longer in any segment.
-	if err := p.sdb.Checkpoint(); err != nil {
+	if err := p.db.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	p.exec(t, `insert into emp values ('late', 99, 1, 0);`) // tail after the image
@@ -272,7 +269,7 @@ func TestFollowerKillRejoin(t *testing.T) {
 	r.stop(t) // follower dies; its pin is released
 
 	p.exec(t, `insert into emp values ('b', 2, 2, 0);`)
-	if err := p.sdb.Checkpoint(); err != nil { // prune past the dead follower
+	if err := p.db.Checkpoint(); err != nil { // prune past the dead follower
 		t.Fatalf("checkpoint: %v", err)
 	}
 	p.exec(t, `insert into emp values ('c', 3, 3, 0);`)
@@ -488,7 +485,7 @@ func TestTornStreamNeverDiverges(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.exec(t, fmt.Sprintf(`insert into emp values ('pre%d', %d, 100, 0);`, i, i))
 	}
-	if err := p.sdb.Checkpoint(); err != nil { // force the bootstrap path through the proxy
+	if err := p.db.Checkpoint(); err != nil { // force the bootstrap path through the proxy
 		t.Fatal(err)
 	}
 

@@ -22,7 +22,7 @@ func TestExecBatchEndToEnd(t *testing.T) {
 	db.MustExec(`create table t (a int)`)
 	db.MustExec(`create rule cap when inserted into t
 		then delete from t where a > 100 end`)
-	_, addr := startServer(t, sopr.Synchronized(db), Config{})
+	_, addr := startServer(t, db, Config{})
 	c := dial(t, addr)
 
 	// One block: the rule sees the batch's net effect once, and the
@@ -72,10 +72,9 @@ func TestConcurrentBatchCommitDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdb := sopr.Synchronized(db)
-	defer sdb.Close()
-	sdb.MustExec(`create table t (w int, a int)`)
-	_, addr := startServer(t, sdb, Config{})
+	defer db.Close()
+	db.MustExec(`create table t (w int, a int)`)
+	_, addr := startServer(t, db, Config{})
 
 	const clients = 8
 	const batches = 6
@@ -149,7 +148,7 @@ func TestFrameSizeBoundary(t *testing.T) {
 	const cap = 4096
 	db := sopr.Open()
 	db.MustExec(`create table t (s varchar)`)
-	_, addr := startServer(t, sopr.Synchronized(db), Config{MaxFrame: cap})
+	_, addr := startServer(t, db, Config{MaxFrame: cap})
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {

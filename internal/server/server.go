@@ -1,7 +1,7 @@
 // Package server implements the soprd network front-end: it accepts TCP
 // connections, frames requests with the wire protocol, and serves them from
 // one shared engine. Sessions are request/response: each connection issues
-// one request at a time. The shared SynchronizedDB serializes operation
+// one request at a time. The shared sopr.DB serializes operation
 // blocks (exec requests) across connections, preserving the paper's
 // single-stream model of system execution (Section 2.1) — concurrent
 // writers are simply interleaved as a stream of transactions — while
@@ -35,7 +35,7 @@ import (
 	"sopr/internal/wire"
 )
 
-// DB is the backend a Server serves from: a primary's SynchronizedDB or a
+// DB is the backend a Server serves from: a *sopr.DB, a repl.Primary, or a
 // replica's repl.Follower. Exec lands on the backend's exclusive write
 // path (one operation-block stream, per the paper's Section 2.1); Query,
 // Dump, and Stats are read-only.
@@ -50,7 +50,7 @@ type DB interface {
 //
 // BatchExecer lets a backend run a list of data-manipulation statements as
 // one operation block (one engine pass, one commit record, one shared
-// fsync). SynchronizedDB and repl.Primary implement it; a backend without
+// fsync). sopr.DB and repl.Primary implement it; a backend without
 // it serves MsgExecBatch by joining the statements into one script — still
 // a single block, just via the script path. Read-only followers reject
 // either way with their typed read_only error.
@@ -394,10 +394,10 @@ func (s *Server) serveConn(c *conn) {
 }
 
 // handle dispatches one request and writes its response; it reports whether
-// the connection is still usable. Locking is delegated to the shared
-// SynchronizedDB: MsgExec lands on its exclusive lock (one operation-block
-// stream, per the paper's Section 2.1), while MsgQuery, MsgStats, and
-// MsgDump land on its shared lock, so read requests from different
+// the connection is still usable. Locking is delegated to the backend:
+// MsgExec lands on its write mutex (one operation-block stream, per the
+// paper's Section 2.1), while MsgQuery, MsgStats, and MsgDump read the
+// published snapshot with no lock, so read requests from different
 // connections run concurrently.
 func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 	switch typ {

@@ -17,7 +17,7 @@ import (
 
 // startServer launches a server over db on a random port and returns it
 // with its address. The server is shut down at test end if the test didn't.
-func startServer(t *testing.T, db *sopr.SynchronizedDB, cfg Config) (*Server, string) {
+func startServer(t *testing.T, db *sopr.DB, cfg Config) (*Server, string) {
 	t.Helper()
 	srv := New(db, cfg)
 	ln, err := Listen("127.0.0.1:0")
@@ -63,7 +63,7 @@ func TestConcurrentCascade(t *testing.T) {
 		     (select dept_no from dept where mgr_no in (select emp_no from deleted emp));
 		     delete from dept where mgr_no in (select emp_no from deleted emp)
 		end`)
-	_, addr := startServer(t, sopr.Synchronized(db), Config{})
+	_, addr := startServer(t, db, Config{})
 
 	const clients = 8
 	const depth = 4
@@ -157,7 +157,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	})
 	db.MustExec(`create table t (a int)`)
 	db.MustExec(`create rule r when inserted into t then call slow end`)
-	srv := New(sopr.Synchronized(db), Config{})
+	srv := New(db, Config{})
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 func TestErrorResponses(t *testing.T) {
 	db := sopr.Open()
 	db.MustExec(`create table t (a int)`)
-	_, addr := startServer(t, sopr.Synchronized(db), Config{})
+	_, addr := startServer(t, db, Config{})
 	c := dial(t, addr)
 
 	// Parse errors carry the failing line.
@@ -261,7 +261,7 @@ func TestErrorResponses(t *testing.T) {
 // resynchronizes on the next frame boundary.
 func TestRawFrameAbuse(t *testing.T) {
 	db := sopr.Open()
-	_, addr := startServer(t, sopr.Synchronized(db), Config{MaxFrame: 4096})
+	_, addr := startServer(t, db, Config{MaxFrame: 4096})
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -327,7 +327,7 @@ func TestDumpAndRoundTripValues(t *testing.T) {
 	db := sopr.Open()
 	db.MustExec(`create table v (i int, f float, s varchar, b bool)`)
 	db.MustExec(`insert into v values (42, 1.5, 'it''s', true), (null, null, null, null)`)
-	_, addr := startServer(t, sopr.Synchronized(db), Config{})
+	_, addr := startServer(t, db, Config{})
 	c := dial(t, addr)
 
 	rows, err := c.Query(`select i, f, s, b from v where i = 42`)

@@ -1,6 +1,7 @@
 package sopr
 
 import (
+	"sopr/internal/engine"
 	"sopr/internal/sqlast"
 	"sopr/internal/sqlparse"
 )
@@ -16,18 +17,20 @@ type Stmt struct {
 // Prepare parses a script for repeated execution. Definition statements
 // (CREATE TABLE / CREATE RULE / ...) are allowed but usually belong in a
 // one-shot Exec; re-executing them fails with duplicate-definition errors.
+// A syntax error is reported as *ParseError, like Exec.
 func (db *DB) Prepare(src string) (*Stmt, error) {
 	stmts, err := sqlparse.ParseStatements(src)
 	if err != nil {
-		return nil, err
+		return nil, wrapErr(err)
 	}
 	return &Stmt{db: db, stmts: stmts}, nil
 }
 
-// Exec runs the prepared script.
+// Exec runs the prepared script through the same write path as DB.Exec:
+// serialized with other writers, and on a durable database acknowledged
+// only once its commit record is durable.
 func (s *Stmt) Exec() (*Result, error) {
-	txn, err := s.db.eng.ExecStatements(s.stmts)
-	return wrapTxn(txn), err
+	return s.db.write(func() (*engine.TxnResult, error) { return s.db.eng.ExecStatements(s.stmts) })
 }
 
 // QueryRow is a convenience for a prepared single-SELECT script: it

@@ -1,6 +1,9 @@
 package sopr
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestPreparedStatements(t *testing.T) {
 	db := openPaperDB(t)
@@ -40,8 +43,14 @@ func TestPreparedStatements(t *testing.T) {
 			t.Fatalf("iteration %d: emp count %v", i, rows.Data[0][0])
 		}
 	}
-	if _, err := db.Prepare(`not sql`); err == nil {
-		t.Error("bad script prepared")
+	// A syntax error is a *ParseError with its position, as from Exec.
+	_, err = db.Prepare("select 1 from emp;\n  not sql")
+	var pe *ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Prepare error = %v (%T), want *ParseError", err, err)
+	}
+	if pe.Line != 2 || pe.Col != 3 {
+		t.Errorf("Prepare error position = %d:%d, want 2:3", pe.Line, pe.Col)
 	}
 	// Query on a prepared script with no result sets returns nil.
 	noq, _ := db.Prepare(`insert into emp values ('y', 2, 10, null)`)

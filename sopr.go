@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"sopr/internal/engine"
@@ -111,10 +112,31 @@ func WithRuleTimeout(d time.Duration) Option {
 	return func(c *config) { c.eng.RuleTimeout = d }
 }
 
-// DB is a database instance with the production rules facility. It is not
-// safe for concurrent use; the paper's model of system execution is a
-// single stream of operation blocks (Section 2.1).
+// DB is a database instance with the production rules facility. It is
+// safe for concurrent use by multiple goroutines.
+//
+// The paper's model of system execution is a single stream of operation
+// blocks (Section 2.1). That binds writes only: an operation block
+// produces a transition and triggers rules, so it must occupy the stream
+// alone. Every call that mutates engine state (Exec, ExecBatch, Stmt.Exec,
+// Load, constraints, procedures, rule scopes, tracing, Checkpoint, Close)
+// takes one write mutex, and concurrent writers are interleaved as a
+// stream of transactions with unchanged rule semantics. On a durable
+// database the commit-record fsync is waited for after the mutex is
+// released, so overlapping committers share one group-commit fsync; a
+// transaction is still acknowledged only once its record is durable.
+// External procedures and trace hooks run under the mutex, so they must
+// not call the DB's write methods (a procedure writes through its
+// ProcContext).
+//
+// Reads take no lock. Every commit publishes an immutable snapshot of the
+// committed state behind an atomic pointer (internal/storage's
+// copy-on-write tables), and Query, Dump, Stats, CurrentLSN and Tables
+// load that pointer once and traverse frozen structures: readers never
+// wait behind a writer and always see some committed point-in-time state.
 type DB struct {
+	// mu serializes the write path; see the type comment.
+	mu  sync.Mutex
 	eng *engine.Engine
 	// walLog and recovery are set by OpenDurable (durability.go); walLog is
 	// nil for a plain in-memory Open.
@@ -302,7 +324,7 @@ type Result struct {
 // record is fsynced (per the fsync policy): an acknowledged commit is
 // durable.
 func (db *DB) Exec(src string) (*Result, error) {
-	return db.finish(db.execNoWait(src))
+	return db.write(func() (*engine.TxnResult, error) { return db.eng.Exec(src) })
 }
 
 // ExecBatch executes a batch of data-manipulation statements as ONE
@@ -315,59 +337,33 @@ func (db *DB) Exec(src string) (*Result, error) {
 // inside the block and observe its preceding writes; definition
 // statements are rejected (they execute between transactions — use Exec).
 func (db *DB) ExecBatch(stmts []string) (*Result, error) {
-	return db.finish(db.execBatchNoWait(stmts))
+	return db.write(func() (*engine.TxnResult, error) { return db.eng.ExecBatch(stmts) })
 }
 
-// execNoWait runs the script without waiting for commit durability. The
-// returned lsn is the newest commit record the script appended (0 if
-// nothing committed, or in-memory).
-func (db *DB) execNoWait(src string) (*Result, uint64, error) {
-	txn, err := db.eng.Exec(src)
-	res := wrapTxn(txn)
-	var lsn uint64
-	if txn != nil {
-		lsn = txn.LastLSN
-	}
-	return res, lsn, wrapErr(err)
-}
-
-// execBatchNoWait is execNoWait for a batch block.
-func (db *DB) execBatchNoWait(stmts []string) (*Result, uint64, error) {
-	txn, err := db.eng.ExecBatch(stmts)
-	res := wrapTxn(txn)
-	var lsn uint64
-	if txn != nil {
-		lsn = txn.LastLSN
-	}
-	return res, lsn, wrapErr(err)
-}
-
-// finish completes an exec after the engine pass — and, crucially, after
-// the caller released any write lock: it parks on the write-ahead log's
-// group commit for the transaction's record (concurrent committers share
-// one fsync there) and stamps the read-your-writes LSN token. A
+// write is the one write path: it runs an engine pass under the write
+// mutex, then — after releasing it — parks on the write-ahead log's group
+// commit for the pass's newest commit record (concurrent committers share
+// one fsync there; under the interval/never fsync policies the wait
+// returns at once) and stamps the read-your-writes LSN token. A
 // durability failure outranks nothing: if the engine pass itself errored,
 // that error is returned and the sticky log error will surface on the
 // next write.
-func (db *DB) finish(res *Result, lsn uint64, err error) (*Result, error) {
-	if werr := db.waitDurable(lsn); werr != nil && err == nil {
-		err = werr
+func (db *DB) write(pass func() (*engine.TxnResult, error)) (*Result, error) {
+	db.mu.Lock()
+	txn, err := pass()
+	db.mu.Unlock()
+	err = wrapErr(err)
+	res := wrapTxn(txn)
+	if res == nil || db.walLog == nil {
+		return res, err
 	}
-	if res != nil && db.walLog != nil {
-		res.LSN = db.CurrentLSN()
+	if txn.LastLSN > 0 {
+		if werr := db.walLog.WaitDurable(txn.LastLSN); werr != nil && err == nil {
+			err = werr
+		}
 	}
+	res.LSN = db.CurrentLSN()
 	return res, err
-}
-
-// waitDurable parks until the given commit record is fsynced — the group
-// commit point. A no-op in-memory, when nothing committed, or under the
-// interval/never fsync policies (their durability window is the caller's
-// explicit choice).
-func (db *DB) waitDurable(lsn uint64) error {
-	if db.walLog == nil || lsn == 0 {
-		return nil
-	}
-	return db.walLog.WaitDurable(lsn)
 }
 
 func wrapTxn(txn *engine.TxnResult) *Result {
@@ -443,6 +439,8 @@ type ProcFunc func(*ProcContext) error
 // RegisterProcedure installs an external procedure. It must be registered
 // before any rule referencing it is defined.
 func (db *DB) RegisterProcedure(name string, fn ProcFunc) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.eng.RegisterProcedure(name, func(inner *engine.ProcContext) error {
 		return fn(&ProcContext{inner: inner})
 	})
@@ -541,8 +539,13 @@ func (db *DB) Stats() Stats {
 	return out
 }
 
-// Rules returns the defined rule names in definition order.
-func (db *DB) Rules() []string { return db.eng.Rules() }
+// Rules returns the defined rule names in definition order. It reads the
+// live rule set, so it takes the write mutex.
+func (db *DB) Rules() []string {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.eng.Rules()
+}
 
 // Tables returns the defined table names, sorted. Reads the published
 // snapshot's catalog, so it is safe concurrent with a writer.
@@ -550,5 +553,7 @@ func (db *DB) Tables() []string { return db.eng.Snapshot().Catalog().Names() }
 
 // SetRuleScope overrides one rule's triggering scope (footnote 8).
 func (db *DB) SetRuleScope(rule string, scope TriggerScope) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.eng.SetRuleScope(rule, rules.TriggerScope(scope))
 }
