@@ -82,50 +82,15 @@ func IsConn(err error) bool {
 }
 
 // ServerStats are the server front-end's counters (see Stats).
-type ServerStats struct {
-	Accepted    int64 // connections accepted
-	Active      int64 // connections currently open
-	Execs       int64 // Exec requests served
-	BatchExecs  int64 // ExecBatch requests served
-	Queries     int64 // Query requests served
-	Dumps       int64 // Dump requests served
-	StatsReqs   int64 // Stats requests served
-	Pings       int64 // Ping requests served
-	Errors      int64 // error responses sent
-	BadFrames   int64 // framing errors seen
-	InFlight    int64 // requests being processed right now
-	DrainedReqs int64 // requests completed during shutdown drain
-}
+type ServerStats = wire.ServerStats
 
-// ReplStats describes a node's replication state (see Stats.Repl); the
-// fields mirror the wire protocol's ReplStats.
-type ReplStats struct {
-	Role             string // "primary" or "replica"
-	LSN              uint64 // own position: durable LSN (primary), applied LSN (replica)
-	PrimaryLSN       uint64 // replica's last view of the primary's LSN
-	Lag              int64  // PrimaryLSN - LSN on a replica
-	Connected        bool   // replica's stream to the primary is up
-	Promoted         bool   // node was promoted from replica to writable
-	Followers        int    // connected stream sessions on a primary
-	MinFollowerLSN   uint64 // lowest acked LSN across followers (retention horizon)
-	Epoch            uint64 // node's promotion epoch (0 before any failover)
-	Durable          bool   // node persists its state in its own WAL
-	Fenced           bool   // node observed a higher epoch and refuses writes
-	Leader           string // upstream address a replica streams from
-	SyncFollowers    int    // configured sync-commit ack quorum (0 = async)
-	SyncTimeouts     int64  // commits that degraded to async on timeout
-	Resets           int64  // reset-and-rebootstrap cycles on a replica
-	DiscardedRecords int64  // records dropped on divergence resets
-}
+// ReplStats describes a node's replication state (see Stats.Repl).
+type ReplStats = wire.ReplStats
 
-// Stats bundles the remote engine's counters with the server's own.
-type Stats struct {
-	Engine sopr.Stats
-	Server ServerStats
-	// Repl is the node's replication state; nil on a server that neither
-	// ships nor follows a WAL stream.
-	Repl *ReplStats
-}
+// Stats bundles the remote engine's counters (Engine, a sopr.Stats) with
+// the server's own (Server). Repl is the node's replication state; nil on
+// a server that neither ships nor follows a WAL stream.
+type Stats = wire.StatsResponse
 
 // Option configures a Client at Dial.
 type Option func(*Client)
@@ -346,47 +311,11 @@ func (c *Client) Dump() (string, error) {
 
 // Stats fetches the server's engine and front-end counters.
 func (c *Client) Stats() (*Stats, error) {
-	var resp wire.StatsResponse
-	if err := c.roundTrip(wire.MsgStats, nil, wire.MsgStatsResult, &resp); err != nil {
+	var st Stats
+	if err := c.roundTrip(wire.MsgStats, nil, wire.MsgStatsResult, &st); err != nil {
 		return nil, err
 	}
-	return &Stats{
-		Engine: sopr.Stats{
-			Committed:           resp.Engine.Committed,
-			RolledBack:          resp.Engine.RolledBack,
-			ExternalTransitions: resp.Engine.ExternalTransitions,
-			RuleConsiderations:  resp.Engine.RuleConsiderations,
-			RuleFirings:         resp.Engine.RuleFirings,
-			IndexLookups:        resp.Engine.IndexLookups,
-			HeapScans:           resp.Engine.HeapScans,
-			WALAppends:          resp.Engine.WALAppends,
-			WALBytes:            resp.Engine.WALBytes,
-			RecoveredRecords:    resp.Engine.RecoveredRecords,
-			Checkpoints:         resp.Engine.Checkpoints,
-			GroupCommits:        resp.Engine.GroupCommits,
-			GroupedTxns:         resp.Engine.GroupedTxns,
-			TxnsPerSync:         txnsPerSync(resp.Engine.GroupedTxns, resp.Engine.GroupCommits),
-			PlannedQueries:      resp.Engine.PlannedQueries,
-			PlanProbeFallbacks:  resp.Engine.PlanProbeFallbacks,
-		},
-		Server: ServerStats(resp.Server),
-		Repl:   replStats(resp.Repl),
-	}, nil
-}
-
-func txnsPerSync(grouped, commits int64) float64 {
-	if commits == 0 {
-		return 0
-	}
-	return float64(grouped) / float64(commits)
-}
-
-func replStats(rs *wire.ReplStats) *ReplStats {
-	if rs == nil {
-		return nil
-	}
-	out := ReplStats(*rs)
-	return &out
+	return &st, nil
 }
 
 // Ping checks the server is alive and answering.

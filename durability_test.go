@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sopr/internal/wal"
 )
@@ -419,9 +420,10 @@ func TestCrashRecoveryMidGroupCommit(t *testing.T) {
 	}
 }
 
-// TestSharedDBDurable shares one durable *DB between writers and a
-// checkpointer: every acknowledged insert survives Close and reopen, and
-// a write after Close fails.
+// TestSharedDBDurable shares one durable *DB between writers, a
+// checkpointer and a lock-free Stats reader: every acknowledged insert
+// survives Close and reopen, the WAL counters Stats reads live never go
+// backwards, and a write after Close fails.
 func TestSharedDBDurable(t *testing.T) {
 	mem := wal.NewMemFS()
 	db, err := OpenDurable("data", withFS(mem))
@@ -434,7 +436,7 @@ func TestSharedDBDurable(t *testing.T) {
 	db.MustExec(`create table t (a int)`)
 	const workers, perW = 4, 10
 	var wg sync.WaitGroup
-	errs := make(chan error, workers+1)
+	errs := make(chan error, workers+2)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -455,6 +457,19 @@ func TestSharedDBDurable(t *testing.T) {
 				errs <- fmt.Errorf("Checkpoint: %w", err)
 				return
 			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var prev Stats
+		for deadline := time.Now().Add(10 * time.Second); prev.Committed < workers*perW && time.Now().Before(deadline); {
+			s := db.Stats()
+			if s.WALAppends < prev.WALAppends || s.GroupCommits < prev.GroupCommits || s.GroupedTxns < prev.GroupedTxns {
+				errs <- fmt.Errorf("Stats out of order: %+v after %+v", s, prev)
+				return
+			}
+			prev = s
 		}
 	}()
 	wg.Wait()
@@ -507,5 +522,33 @@ func TestPreparedExecDurable(t *testing.T) {
 	defer rec.Close()
 	if got := rec.MustQuery(`select count(*) from t`).Data[0][0]; got != int64(1) {
 		t.Fatalf("recovered %v rows after an acknowledged prepared insert, want 1", got)
+	}
+}
+
+// TestStatsGroupCommitCurrent: once commits have been acknowledged, Stats
+// reports their group commits. The leader fsync runs after the commit's
+// snapshot is published, so counters captured at publish time would lag
+// the log by the latest commit's own sync.
+func TestStatsGroupCommitCurrent(t *testing.T) {
+	db, err := OpenDurable("data", withFS(wal.NewMemFS()), WithFsync(FsyncAlways))
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	defer db.Close()
+	db.MustExec(`create table t (a int)`)
+	const n = 5
+	for i := 0; i < n; i++ {
+		db.MustExec(fmt.Sprintf(`insert into t values (%d)`, i))
+	}
+	st, ws := db.Stats(), db.WALLog().Stats()
+	if ws.GroupCommits != n || ws.GroupedTxns != n {
+		t.Fatalf("log: GroupCommits=%d GroupedTxns=%d, want %d and %d", ws.GroupCommits, ws.GroupedTxns, n, n)
+	}
+	if st.GroupCommits != ws.GroupCommits || st.GroupedTxns != ws.GroupedTxns {
+		t.Errorf("Stats: GroupCommits=%d GroupedTxns=%d, log has %d and %d",
+			st.GroupCommits, st.GroupedTxns, ws.GroupCommits, ws.GroupedTxns)
+	}
+	if st.WALAppends != ws.Appends || st.WALBytes != ws.Bytes {
+		t.Errorf("Stats: WALAppends=%d WALBytes=%d, log has %d and %d", st.WALAppends, st.WALBytes, ws.Appends, ws.Bytes)
 	}
 }

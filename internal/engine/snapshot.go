@@ -4,35 +4,34 @@ import (
 	"strings"
 
 	"sopr/internal/storage"
+	"sopr/internal/wal"
 )
 
 // snapState is one published point-in-time state of the whole engine: the
 // storage snapshot plus everything else a lock-free reader may ask for —
 // the rule-definition script (rendered eagerly, because rule structures
-// are writer-private), the last durable LSN, and the engine counters as of
-// the publish. One atomic pointer holds all of it so Dump sees a single
-// consistent cut: data, indexes, rules, and stats all from the same
-// instant, never old tables with new rules.
+// are writer-private), the last durable LSN, the engine counters as of the
+// publish, and the attached log, whose counters Stats reads live. One
+// atomic pointer holds all of it so Dump sees a single consistent cut:
+// data, indexes and rules all from the same instant, never old tables
+// with new rules.
 type snapState struct {
 	store *storage.Snapshot
-	rules string // dumpRules output at publish time
-	lsn   uint64 // last durable LSN at publish time (0 without a WAL)
-	stats Stats  // engine + WAL counters at publish time
+	rules string   // dumpRules output at publish time
+	lsn   uint64   // last durable LSN at publish time (0 without a WAL)
+	stats Stats    // engine counters at publish time
+	wal   *wal.Log // attached log at publish time (nil without a WAL)
 }
 
 // publish captures the current committed state behind the engine's atomic
 // snapshot pointer. It runs only on the exclusive write path — after a
 // commit, rollback (for the counters), definition statement, checkpoint,
 // or replayed batch — so it may freely read writer-private state: the rule
-// set, the plain engine counters, and the WAL's mutex-guarded counters.
-// Readers then get all of it from one atomic load, with zero locking.
+// set, the plain engine counters, and the attached WAL. Readers then get
+// all of it from one atomic load, with zero locking.
 func (e *Engine) publish() {
-	st := e.stats
 	var lsn uint64
 	if e.wal != nil {
-		ws := e.wal.Stats()
-		st.WALAppends, st.WALBytes = ws.Appends, ws.Bytes
-		st.WALGroupCommits, st.WALGroupedTxns = ws.GroupCommits, ws.GroupedTxns
 		lsn = e.wal.NextLSN() - 1
 	}
 	var rules strings.Builder
@@ -42,7 +41,8 @@ func (e *Engine) publish() {
 		store: e.store.Snapshot(),
 		rules: rules.String(),
 		lsn:   lsn,
-		stats: st,
+		stats: e.stats,
+		wal:   e.wal,
 	})
 }
 

@@ -866,30 +866,13 @@ func (f *Follower) Dump(w io.Writer) error {
 	return f.eng.Dump(w)
 }
 
-// Stats reports engine counters for the replayed state. (A follower's
-// engine only replays; the group-commit counters stay zero — its own
-// log's appends are synced by the apply loop, not a commit queue.)
+// Stats reports engine counters for the replayed state. Stream applies
+// never group-commit, so the group-commit counters move only once a
+// durable follower is promoted and commits through its own log.
 func (f *Follower) Stats() sopr.Stats {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	s := f.eng.Stats()
-	return sopr.Stats{
-		Committed:           s.Committed,
-		RolledBack:          s.RolledBack,
-		ExternalTransitions: s.ExternalTransitions,
-		RuleConsiderations:  s.RuleConsiderations,
-		RuleFirings:         s.RuleFirings,
-		IndexLookups:        s.IndexLookups,
-		HeapScans:           s.HeapScans,
-		WALAppends:          s.WALAppends,
-		WALBytes:            s.WALBytes,
-		RecoveredRecords:    s.RecoveredRecords,
-		Checkpoints:         s.Checkpoints,
-		GroupCommits:        s.WALGroupCommits,
-		GroupedTxns:         s.WALGroupedTxns,
-		PlannedQueries:      s.PlannedQueries,
-		PlanProbeFallbacks:  s.PlanProbeFallbacks,
-	}
+	return f.eng.Stats()
 }
 
 // ReplStats reports the node's replication position, epoch, and lag.

@@ -17,7 +17,7 @@ import (
 
 // startServer launches a server over db on a random port and returns it
 // with its address. The server is shut down at test end if the test didn't.
-func startServer(t *testing.T, db *sopr.DB, cfg Config) (*Server, string) {
+func startServer(t *testing.T, db DB, cfg Config) (*Server, string) {
 	t.Helper()
 	srv := New(db, cfg)
 	ln, err := Listen("127.0.0.1:0")

@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"sopr/internal/engine"
 )
 
 // Message types. Requests have the high bit clear, responses have it set;
@@ -160,27 +162,13 @@ type DumpResponse struct {
 	Script string `json:"script"`
 }
 
-// EngineStats mirrors sopr.Stats across the wire.
-type EngineStats struct {
-	Committed           int64 `json:"committed"`
-	RolledBack          int64 `json:"rolled_back"`
-	ExternalTransitions int64 `json:"external_transitions"`
-	RuleConsiderations  int64 `json:"rule_considerations"`
-	RuleFirings         int64 `json:"rule_firings"`
-	IndexLookups        int64 `json:"index_lookups"`
-	HeapScans           int64 `json:"heap_scans"`
-	WALAppends          int64 `json:"wal_appends"`
-	WALBytes            int64 `json:"wal_bytes"`
-	RecoveredRecords    int64 `json:"recovered_records"`
-	Checkpoints         int64 `json:"checkpoints"`
-	GroupCommits        int64 `json:"group_commits,omitempty"`
-	GroupedTxns         int64 `json:"grouped_txns,omitempty"`
-	PlannedQueries      int64 `json:"planned_queries,omitempty"`
-	PlanProbeFallbacks  int64 `json:"plan_probe_fallbacks,omitempty"`
-}
-
 // ServerStats are the network front-end's own counters, kept separately
-// from the engine's rule-processing counters.
+// from the engine's rule-processing counters. BadFrames counts request
+// frames the server could not use: unreadable or oversized frames,
+// payloads that fail to decode, and unknown message types. Most are
+// answered with a typed error and the session stays open; an unreadable
+// frame, an oversized one that cannot be drained, or an undecodable
+// stream-join request ends the connection.
 type ServerStats struct {
 	Accepted    int64 `json:"accepted"`     // connections accepted
 	Active      int64 `json:"active"`       // connections currently open
@@ -191,17 +179,18 @@ type ServerStats struct {
 	StatsReqs   int64 `json:"stats_reqs"`   // Stats requests served
 	Pings       int64 `json:"pings"`        // Ping requests served
 	Errors      int64 `json:"errors"`       // error responses sent
-	BadFrames   int64 `json:"bad_frames"`   // connections dropped on framing errors
+	BadFrames   int64 `json:"bad_frames"`   // unusable request frames (see above)
 	InFlight    int64 `json:"in_flight"`    // requests being processed right now
 	DrainedReqs int64 `json:"drained_reqs"` // requests completed during shutdown drain
 }
 
 // StatsResponse bundles both counter sets, plus the node's replication
 // state when it participates in replication (nil on a standalone server).
+// Engine is the engine's own counter record, carried by value.
 type StatsResponse struct {
-	Engine EngineStats `json:"engine"`
-	Server ServerStats `json:"server"`
-	Repl   *ReplStats  `json:"repl,omitempty"`
+	Engine engine.Stats `json:"engine"`
+	Server ServerStats  `json:"server"`
+	Repl   *ReplStats   `json:"repl,omitempty"`
 }
 
 // ErrorResponse reports a failed request with a structured code. Line is

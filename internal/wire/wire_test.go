@@ -175,3 +175,69 @@ func TestTypeName(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsResponseGolden pins the MsgStatsResult payload bytes for fixed
+// counters, so a change to the Go declarations behind StatsResponse cannot
+// silently change what older clients decode. The zero-value case pins the
+// omitempty form: group-commit and planner counters vanish at zero, the
+// other engine and server counters are always sent, and Repl is omitted.
+func TestStatsResponseGolden(t *testing.T) {
+	var full StatsResponse
+	e := &full.Engine
+	e.Committed, e.RolledBack, e.ExternalTransitions = 1, 2, 3
+	e.RuleConsiderations, e.RuleFirings = 4, 5
+	e.IndexLookups, e.HeapScans = 6, 7
+	e.WALAppends, e.WALBytes, e.RecoveredRecords, e.Checkpoints = 8, 9, 10, 11
+	e.GroupCommits, e.GroupedTxns = 12, 13
+	e.PlannedQueries, e.PlanProbeFallbacks = 14, 15
+	full.Server = ServerStats{
+		Accepted: 21, Active: 22, Execs: 23, BatchExecs: 24, Queries: 25, Dumps: 26,
+		StatsReqs: 27, Pings: 28, Errors: 29, BadFrames: 30, InFlight: 31, DrainedReqs: 32,
+	}
+	full.Repl = &ReplStats{
+		Role: "replica", LSN: 41, PrimaryLSN: 42, Lag: 1, Connected: true, Promoted: true,
+		Followers: 2, MinFollowerLSN: 40, Epoch: 3, Durable: true, Fenced: true,
+		Leader: "127.0.0.1:5477", SyncFollowers: 1, SyncTimeouts: 4, Resets: 5, DiscardedRecords: 6,
+	}
+	cases := []struct {
+		name string
+		resp StatsResponse
+		want string
+	}{
+		{"zero", StatsResponse{}, `{"engine":{"committed":0,"rolled_back":0,"external_transitions":0,` +
+			`"rule_considerations":0,"rule_firings":0,"index_lookups":0,"heap_scans":0,"wal_appends":0,` +
+			`"wal_bytes":0,"recovered_records":0,"checkpoints":0},"server":{"accepted":0,"active":0,` +
+			`"execs":0,"batch_execs":0,"queries":0,"dumps":0,"stats_reqs":0,"pings":0,"errors":0,` +
+			`"bad_frames":0,"in_flight":0,"drained_reqs":0}}`},
+		{"full", full, `{"engine":{"committed":1,"rolled_back":2,"external_transitions":3,` +
+			`"rule_considerations":4,"rule_firings":5,"index_lookups":6,"heap_scans":7,"wal_appends":8,` +
+			`"wal_bytes":9,"recovered_records":10,"checkpoints":11,"group_commits":12,"grouped_txns":13,` +
+			`"planned_queries":14,"plan_probe_fallbacks":15},"server":{"accepted":21,"active":22,` +
+			`"execs":23,"batch_execs":24,"queries":25,"dumps":26,"stats_reqs":27,"pings":28,"errors":29,` +
+			`"bad_frames":30,"in_flight":31,"drained_reqs":32},"repl":{"role":"replica","lsn":41,` +
+			`"primary_lsn":42,"lag":1,"connected":true,"promoted":true,"followers":2,"min_follower_lsn":40,` +
+			`"epoch":3,"durable":true,"fenced":true,"leader":"127.0.0.1:5477","sync_followers":1,` +
+			`"sync_timeouts":4,"resets":5,"discarded_records":6}}`},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, MsgStatsResult, tc.resp, 0); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := ReadFrame(&buf, 0)
+		if err != nil || typ != MsgStatsResult {
+			t.Fatalf("%s: type 0x%02x err %v", tc.name, typ, err)
+		}
+		if string(payload) != tc.want {
+			t.Errorf("%s: payload\n got %s\nwant %s", tc.name, payload, tc.want)
+		}
+		var back StatsResponse
+		if err := Unmarshal(payload, &back); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if back.Engine != tc.resp.Engine || back.Server != tc.resp.Server ||
+			(back.Repl == nil) != (tc.resp.Repl == nil) || (back.Repl != nil && *back.Repl != *tc.resp.Repl) {
+			t.Errorf("%s: decode mismatch: %+v", tc.name, back)
+		}
+	}
+}

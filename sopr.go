@@ -485,59 +485,14 @@ func (db *DB) OnTrace(fn func(TraceEvent)) {
 	})
 }
 
-// Stats are cumulative engine counters.
-type Stats struct {
-	Committed           int64 // transactions committed
-	RolledBack          int64 // transactions rolled back (rules, errors, runaway guard)
-	ExternalTransitions int64 // externally-generated transitions executed
-	RuleConsiderations  int64 // rule condition evaluations
-	RuleFirings         int64 // rule action executions
-	IndexLookups        int64 // selections served from a secondary index
-	HeapScans           int64 // full heap table scans
-	WALAppends          int64 // records appended to the write-ahead log
-	WALBytes            int64 // bytes appended to the write-ahead log
-	RecoveredRecords    int64 // log records replayed during crash recovery
-	Checkpoints         int64 // checkpoints written
-	// Group-commit counters (durable fsync=always path): GroupCommits is
-	// the number of leader fsyncs issued from the commit queue,
-	// GroupedTxns the number of committers those fsyncs acknowledged, and
-	// TxnsPerSync their ratio — the fsync amortization factor (1.0 means
-	// every committer synced alone; >1 means fsyncs were shared).
-	GroupCommits int64
-	GroupedTxns  int64
-	TxnsPerSync  float64
-	// Planner counters: query blocks executed through the cost-based join
-	// planner, and planned index probes that fell back to a heap scan at
-	// lookup time (the 2^53 integer-keyspace fallback).
-	PlannedQueries     int64
-	PlanProbeFallbacks int64
-}
+// Stats are cumulative engine counters: transactions, Figure 1's rule
+// considerations and firings, access paths, the write-ahead log's appends
+// and group commits, and the planner. See engine.Stats for each field;
+// TxnsPerSync is the group-commit amortization factor.
+type Stats = engine.Stats
 
 // Stats returns a snapshot of the database's cumulative counters.
-func (db *DB) Stats() Stats {
-	s := db.eng.Stats()
-	out := Stats{
-		Committed:           s.Committed,
-		RolledBack:          s.RolledBack,
-		ExternalTransitions: s.ExternalTransitions,
-		RuleConsiderations:  s.RuleConsiderations,
-		RuleFirings:         s.RuleFirings,
-		IndexLookups:        s.IndexLookups,
-		HeapScans:           s.HeapScans,
-		WALAppends:          s.WALAppends,
-		WALBytes:            s.WALBytes,
-		RecoveredRecords:    s.RecoveredRecords,
-		Checkpoints:         s.Checkpoints,
-		GroupCommits:        s.WALGroupCommits,
-		GroupedTxns:         s.WALGroupedTxns,
-		PlannedQueries:      s.PlannedQueries,
-		PlanProbeFallbacks:  s.PlanProbeFallbacks,
-	}
-	if out.GroupCommits > 0 {
-		out.TxnsPerSync = float64(out.GroupedTxns) / float64(out.GroupCommits)
-	}
-	return out
-}
+func (db *DB) Stats() Stats { return db.eng.Stats() }
 
 // Rules returns the defined rule names in definition order. It reads the
 // live rule set, so it takes the write mutex.
