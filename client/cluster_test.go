@@ -21,13 +21,14 @@ const clusterSchema = `create table kv (k string, v int);`
 type clusterNodes struct {
 	primaryAddr string
 	db          *sopr.DB
+	node        *repl.Node
 	psrv        *server.Server
 	replicas    []*replicaNode
 }
 
 type replicaNode struct {
 	addr string
-	fl   *repl.Follower
+	fl   *repl.Node
 	srv  *server.Server
 }
 
@@ -37,19 +38,22 @@ func startCluster(t *testing.T, nReplicas int) *clusterNodes {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond})
-	psrv := server.New(db, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
+	node, err := repl.NewNode(db, repl.Config{Heartbeat: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	psrv := server.New(node, server.Config{ReplWaitTimeout: 2 * time.Second})
 	pln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go psrv.Serve(pln)
-	cn := &clusterNodes{primaryAddr: pln.Addr().String(), db: db, psrv: psrv}
+	cn := &clusterNodes{primaryAddr: pln.Addr().String(), db: db, node: node, psrv: psrv}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = cn.psrv.Shutdown(ctx)
-		_ = db.Close()
+		_ = node.Close()
 	})
 	for i := 0; i < nReplicas; i++ {
 		cn.addReplica(t, "")
@@ -61,9 +65,15 @@ func startCluster(t *testing.T, nReplicas int) *clusterNodes {
 // dir makes it durable (own WAL, preferred at failover ties).
 func (cn *clusterNodes) addReplica(t *testing.T, dir string) *replicaNode {
 	t.Helper()
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:      cn.primaryAddr,
-		DataDir:      dir,
+	db := sopr.Open()
+	if dir != "" {
+		var err error
+		if db, err = sopr.OpenDurable(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fl, err := repl.NewNode(db, repl.Config{
+		Leader:       cn.primaryAddr,
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 200 * time.Millisecond,
 		AckInterval:  10 * time.Millisecond,
@@ -71,7 +81,6 @@ func (cn *clusterNodes) addReplica(t *testing.T, dir string) *replicaNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go fl.Run()
 	rsrv := server.New(fl, server.Config{ReplWaitTimeout: 2 * time.Second})
 	rln, err := server.Listen("127.0.0.1:0")
 	if err != nil {
@@ -84,7 +93,7 @@ func (cn *clusterNodes) addReplica(t *testing.T, dir string) *replicaNode {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = rn.srv.Shutdown(ctx)
-		rn.fl.Close()
+		_ = rn.fl.Close()
 	})
 	return rn
 }
@@ -102,9 +111,9 @@ func (cn *clusterNodes) waitCaughtUp(t *testing.T) {
 	want := cn.db.CurrentLSN()
 	deadline := time.Now().Add(15 * time.Second)
 	for _, r := range cn.replicas {
-		for r.fl.AppliedLSN() < want {
+		for r.fl.CurrentLSN() < want {
 			if time.Now().After(deadline) {
-				t.Fatalf("replica %s stuck at lsn %d, want %d", r.addr, r.fl.AppliedLSN(), want)
+				t.Fatalf("replica %s stuck at lsn %d, want %d", r.addr, r.fl.CurrentLSN(), want)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -182,7 +191,7 @@ func TestClusterReadRetriesPastDeadEndpoint(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.replicas[0].srv.Shutdown(ctx)
-	cn.replicas[0].fl.Close()
+	_ = cn.replicas[0].fl.Close()
 
 	for i := 0; i < 6; i++ {
 		rows, err := cl.Query(`select v from kv where k = 'a';`)
@@ -219,7 +228,7 @@ func TestClusterFailover(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.db.Close()
+	_ = cn.node.Close()
 
 	res, err := cl.Exec(`insert into kv values ('b', 2);`)
 	if err != nil {
@@ -269,7 +278,7 @@ func TestClusterDialAfterPrimaryDeathPromotes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.db.Close()
+	_ = cn.node.Close()
 
 	cl, err := client.DialCluster(cn.addrs())
 	if err != nil {
@@ -319,7 +328,7 @@ func TestClusterFailoverPrefersDurableReplica(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.db.Close()
+	_ = cn.node.Close()
 
 	res, err := cl.Exec(`insert into kv values ('b', 2);`)
 	if err != nil {
@@ -338,10 +347,10 @@ func TestClusterFailoverPrefersDurableReplica(t *testing.T) {
 	// The in-memory survivor is re-pointed, not orphaned: it streams from
 	// the new leader and keeps serving reads.
 	deadline := time.Now().Add(15 * time.Second)
-	for inmem.fl.Leader() != durable.addr || inmem.fl.AppliedLSN() < res.LSN {
+	for inmem.fl.Leader() != durable.addr || inmem.fl.CurrentLSN() < res.LSN {
 		if time.Now().After(deadline) {
 			t.Fatalf("in-memory replica never re-pointed: leader %s, lsn %d (want %s, %d)",
-				inmem.fl.Leader(), inmem.fl.AppliedLSN(), durable.addr, res.LSN)
+				inmem.fl.Leader(), inmem.fl.CurrentLSN(), durable.addr, res.LSN)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -374,7 +383,7 @@ func TestClusterFailoverTieBreakDeterministic(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = cn.psrv.Shutdown(ctx)
-	_ = cn.db.Close()
+	_ = cn.node.Close()
 
 	if _, err := cl.Exec(`insert into kv values ('b', 2);`); err != nil {
 		t.Fatalf("exec after primary death: %v", err)

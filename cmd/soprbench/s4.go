@@ -52,7 +52,6 @@ func s4run(nrep, total int) (rps, usPerRead, wps float64, lag uint64) {
 	defer os.RemoveAll(dir)
 	db, err := sopr.OpenDurable(dir, sopr.WithFsync(sopr.FsyncNever))
 	must(err)
-	defer db.Close()
 	db.MustExec(`create table t (id int, v int); create table audit (id int, v int)`)
 	db.MustExec(b1Rule)
 	const rows = 4000
@@ -60,8 +59,10 @@ func s4run(nrep, total int) (rps, usPerRead, wps float64, lag uint64) {
 		db.MustExec(insertScript(base, 500))
 	}
 
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 100 * time.Millisecond})
-	psrv := server.New(db, server.Config{Repl: src})
+	primary, err := repl.NewNode(db, repl.Config{Heartbeat: 100 * time.Millisecond})
+	must(err)
+	defer primary.Close()
+	psrv := server.New(primary, server.Config{})
 	pln, err := server.Listen("127.0.0.1:0")
 	must(err)
 	go psrv.Serve(pln)
@@ -73,14 +74,13 @@ func s4run(nrep, total int) (rps, usPerRead, wps float64, lag uint64) {
 	}
 	defer shutdown(psrv)
 
-	followers := make([]*repl.Follower, nrep)
+	followers := make([]*repl.Node, nrep)
 	for i := range followers {
-		fl, err := repl.NewFollower(repl.FollowerConfig{
-			Primary:     pln.Addr().String(),
+		fl, err := repl.NewNode(sopr.Open(), repl.Config{
+			Leader:      pln.Addr().String(),
 			AckInterval: 20 * time.Millisecond,
 		})
 		must(err)
-		go fl.Run()
 		defer fl.Close()
 		rsrv := server.New(fl, server.Config{})
 		rln, err := server.Listen("127.0.0.1:0")
@@ -92,7 +92,7 @@ func s4run(nrep, total int) (rps, usPerRead, wps float64, lag uint64) {
 	}
 	// Let every replica finish bootstrapping before the clock starts.
 	for _, fl := range followers {
-		for fl.AppliedLSN() < db.CurrentLSN() {
+		for fl.CurrentLSN() < db.CurrentLSN() {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -151,7 +151,7 @@ func s4run(nrep, total int) (rps, usPerRead, wps float64, lag uint64) {
 
 	primaryLSN := db.CurrentLSN()
 	for _, fl := range followers {
-		if applied := fl.AppliedLSN(); primaryLSN > applied && primaryLSN-applied > lag {
+		if applied := fl.CurrentLSN(); primaryLSN > applied && primaryLSN-applied > lag {
 			lag = primaryLSN - applied
 		}
 	}

@@ -45,10 +45,10 @@ func s5run(n, txns int) (tps, usPerTxn, syncedPct float64) {
 	defer os.RemoveAll(dir)
 	db, err := sopr.OpenDurable(dir, sopr.WithFsync(sopr.FsyncNever))
 	must(err)
-	p, err := repl.NewPrimary(db, repl.PrimaryConfig{
+	p, err := repl.NewNode(db, repl.Config{
 		SyncFollowers: n,
 		SyncTimeout:   5 * time.Second,
-		Source:        repl.SourceConfig{Heartbeat: 100 * time.Millisecond},
+		Heartbeat:     100 * time.Millisecond,
 	})
 	must(err)
 	defer func() { must(p.Close()) }()
@@ -67,13 +67,13 @@ func s5run(n, txns int) (tps, usPerTxn, syncedPct float64) {
 		fdir, err := os.MkdirTemp("", "soprbench-s5-f-*")
 		must(err)
 		defer os.RemoveAll(fdir)
-		fl, err := repl.NewFollower(repl.FollowerConfig{
-			Primary:     pln.Addr().String(),
-			DataDir:     fdir,
+		fdb, err := sopr.OpenDurable(fdir)
+		must(err)
+		fl, err := repl.NewNode(fdb, repl.Config{
+			Leader:      pln.Addr().String(),
 			AckInterval: 5 * time.Millisecond,
 		})
 		must(err)
-		go fl.Run()
 		defer fl.Close()
 	}
 

@@ -200,11 +200,7 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 		cfg.Logf = logger.Printf
 	}
 
-	var backend server.DB
 	durable := o.dataDir != ""
-	// checkpoint and shutdown route through whichever backend owns the log.
-	var checkpoint func() error
-	var shutdown func()
 	if o.follow != "" {
 		// A replica bootstraps from the primary's checkpoint and replays
 		// its stream, so an init script would only be silently ignored —
@@ -220,75 +216,59 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 		if o.syncFollowers > 0 && !durable {
 			return fmt.Errorf("-sync-followers needs -data: only a durable follower can lead after promotion")
 		}
-		fl, err := repl.NewFollower(repl.FollowerConfig{
-			Primary:            o.follow,
-			DataDir:            o.dataDir,
-			SyncFollowers:      o.syncFollowers,
-			SyncTimeout:        o.syncTimeout,
-			SelectTriggers:     o.selectTriggers,
-			MaxRuleTransitions: o.maxTransitions,
-			Logf:               logger.Printf,
+	} else if o.syncFollowers > 0 && !durable {
+		return fmt.Errorf("-sync-followers needs -data: an in-memory server ships no WAL")
+	}
+	db, err := openDB(o, logger)
+	if err != nil {
+		return err
+	}
+	if o.trace {
+		db.TraceTo(os.Stderr)
+	}
+	// A durable primary ships its WAL to any replica that joins, fences
+	// itself when the cluster elects a newer epoch, and — with
+	// -sync-followers — holds commit acks for follower acks. A replica
+	// follows -follow; both are one replication node over the database.
+	var backend server.DB = db
+	closeDB := db.Close
+	if durable || o.follow != "" {
+		node, err := repl.NewNode(db, repl.Config{
+			Leader:        o.follow,
+			SyncFollowers: o.syncFollowers,
+			SyncTimeout:   o.syncTimeout,
+			Logf:          logger.Printf,
 		})
 		if err != nil {
+			_ = db.Close() // first error wins
 			return err
 		}
-		go fl.Run()
-		defer fl.Close()
-		backend = fl
-		if durable {
-			checkpoint = fl.Checkpoint
+		backend, closeDB = node, node.Close
+		switch {
+		case o.follow != "" && durable:
 			logger.Printf("replica: following %s (durable, %s, applied lsn %d, epoch %d)",
-				o.follow, o.dataDir, fl.AppliedLSN(), fl.KnownEpoch())
-		} else {
+				o.follow, o.dataDir, node.CurrentLSN(), node.Epoch())
+		case o.follow != "":
 			logger.Printf("replica: following %s", o.follow)
 		}
-	} else {
-		db, err := openDB(o, logger)
-		if err != nil {
-			return err
-		}
+	}
+	// shutdown writes a final checkpoint (durable: the next start replays
+	// nothing) and closes the database.
+	shutdown := func() {
 		if durable {
-			// A durable primary ships its WAL to any replica that joins,
-			// fences itself when the cluster elects a newer epoch, and —
-			// with -sync-followers — holds commit acks for follower acks.
-			p, err := repl.NewPrimary(db, repl.PrimaryConfig{
-				SyncFollowers: o.syncFollowers,
-				SyncTimeout:   o.syncTimeout,
-				Logf:          logger.Printf,
-			})
-			if err != nil {
-				_ = db.Close()
-				return err
+			if err := db.Checkpoint(); err != nil {
+				logger.Printf("final checkpoint: %v", err)
 			}
-			defer func() { _ = p.Close() }() // error paths below close explicitly
-			if o.trace {
-				p.DB().TraceTo(os.Stderr)
-			}
-			backend = p
-			checkpoint = p.Checkpoint
-			shutdown = func() {
-				if err := p.Checkpoint(); err != nil {
-					logger.Printf("final checkpoint: %v", err)
-				}
-				if err := p.Close(); err != nil {
-					logger.Printf("close log: %v", err)
-				}
-			}
-		} else {
-			if o.syncFollowers > 0 {
-				return fmt.Errorf("-sync-followers needs -data: an in-memory server ships no WAL")
-			}
-			defer func() { _ = db.Close() }()
-			if o.trace {
-				db.TraceTo(os.Stderr)
-			}
-			backend = db
+		}
+		if err := closeDB(); err != nil {
+			logger.Printf("close: %v", err)
 		}
 	}
 
 	srv := server.New(backend, cfg)
 	ln, err := server.Listen(o.addr)
 	if err != nil {
+		_ = closeDB() // first error wins
 		return err
 	}
 	logger.Printf("listening on %s", ln.Addr())
@@ -302,7 +282,7 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 	ckptDone := make(chan struct{})
 	go func() {
 		defer close(ckptDone)
-		if checkpoint == nil || o.ckptInterval <= 0 {
+		if !durable || o.ckptInterval <= 0 {
 			return
 		}
 		t := time.NewTicker(o.ckptInterval)
@@ -310,7 +290,7 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 		for {
 			select {
 			case <-t.C:
-				if err := checkpoint(); err != nil {
+				if err := db.Checkpoint(); err != nil {
 					logger.Printf("checkpoint: %v", err)
 				}
 			case <-ckptStop:
@@ -333,15 +313,7 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 		<-serveDone
 		close(ckptStop)
 		<-ckptDone
-		if shutdown != nil {
-			shutdown()
-		} else if checkpoint != nil {
-			// A durable follower: persist its state as a checkpoint image
-			// so the next start replays only the records since.
-			if err := checkpoint(); err != nil {
-				logger.Printf("final checkpoint: %v", err)
-			}
-		}
+		shutdown()
 		st := srv.Stats()
 		logger.Printf("served %d connections, %d execs, %d queries; %d requests drained",
 			st.Accepted, st.Execs, st.Queries, st.DrainedReqs)
@@ -349,6 +321,7 @@ func run(o options, sigc <-chan os.Signal, ready chan<- net.Addr) error {
 	case err := <-serveDone:
 		close(ckptStop)
 		<-ckptDone
+		shutdown()
 		return err
 	}
 }

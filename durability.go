@@ -162,14 +162,25 @@ func (db *DB) CurrentLSN() uint64 {
 }
 
 // WALLog exposes the attached write-ahead log (nil on an in-memory
-// database). The soprd daemon hands it to the replication source so
-// stream sessions can tail and pin it.
+// database). A replication node serves stream sessions from it, and a
+// following node appends the leader's records to it.
 func (db *DB) WALLog() *wal.Log { return db.walLog }
 
-// Engine exposes the underlying engine. The replication package uses it
-// when a demoted primary must re-home its engine under a follower that
-// shares the same log; it is not part of the stable public surface.
+// Engine exposes the underlying engine to tools that drive it directly,
+// such as the soprperf harness. It is not part of the stable public
+// surface.
 func (db *DB) Engine() *engine.Engine { return db.eng }
+
+// EngineLocked runs fn on the underlying engine under the write mutex, so
+// it is serialized with Exec, Checkpoint and every other writer. The
+// replication package applies stream records, installs checkpoint images
+// and opens promotion epochs through it. It is not part of the stable
+// public surface.
+func (db *DB) EngineLocked(fn func(*engine.Engine) error) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return fn(db.eng)
+}
 
 // Close flushes and closes the write-ahead log. Executing against a closed
 // durable database fails. Close on an in-memory database is a no-op.

@@ -28,10 +28,11 @@ const ckptBatch = 512
 
 // AttachWAL connects the engine to an open log. Every subsequent committed
 // transaction appends its net effect before the in-memory commit, and every
-// definition statement appends its text. Attach after recovery has been
-// replayed (LoadCheckpoint and ReplayRecord do not re-log what they apply);
-// attaching publishes the engine snapshot, making the fully-recovered state
-// (and its LSN) visible to lock-free readers in one step.
+// definition statement appends its text. LoadCheckpoint and ReplayRecord
+// never log what they apply, so a replication follower replays with its
+// log attached. Attaching publishes the engine snapshot, making the
+// fully-recovered state (and its LSN) visible to lock-free readers in one
+// step.
 func (e *Engine) AttachWAL(l *wal.Log) {
 	e.wal = l
 	e.PublishSnapshot()
@@ -180,8 +181,8 @@ func (e *Engine) buildCommitRecord(eff *rules.Effect) (*wal.CommitRecord, error)
 // durability: the record is framed and written but not yet fsynced — the
 // owner must call wal.Log.WaitDurable on the returned LSN before
 // acknowledging the transaction, which is where concurrent committers
-// coalesce onto one group-commit fsync (sopr.DB and a promoted
-// repl.Follower do this after releasing their write mutex).
+// coalesce onto one group-commit fsync (sopr.DB does this after releasing
+// its write mutex).
 func (e *Engine) logCommit(eff *rules.Effect) (uint64, error) {
 	rec, err := e.buildCommitRecord(eff)
 	if err != nil {
@@ -204,8 +205,8 @@ func (e *Engine) logDefinition(st sqlast.Statement) error {
 
 // ReplayRecord applies one recovered log record with rule processing
 // disabled: commit records replay their net effect by handle, definition
-// records re-execute their SQL text. The engine must not have a WAL
-// attached yet (replayed work is already in the log).
+// records re-apply their SQL text. It never logs: replayed work is already
+// in the log.
 //
 // Commit replays deliberately do not publish a read snapshot: publishing
 // freezes every table, so the next replayed record would clone its table
@@ -230,7 +231,7 @@ func (e *Engine) ReplayRecord(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("engine: replay lsn %d: parse %q: %w", rec.LSN, rec.DDL.Stmt, err)
 		}
-		if err := e.execDefinition(st); err != nil {
+		if err := e.applyDefinition(st); err != nil {
 			return fmt.Errorf("engine: replay lsn %d: %w", rec.LSN, err)
 		}
 	case wal.KindEpoch:
@@ -286,19 +287,10 @@ func (e *Engine) Checkpoint() error {
 	if e.wal == nil {
 		return fmt.Errorf("engine: no write-ahead log attached")
 	}
-	return e.CheckpointTo(e.wal)
-}
-
-// CheckpointTo writes the image through an explicit log. A durable
-// replication follower checkpoints its engine into its own log this way:
-// the follower's engine has no WAL attached (replayed records are already
-// in the log), but its log still needs periodic images for pruning and for
-// bootstrapping siblings after a promotion.
-func (e *Engine) CheckpointTo(l *wal.Log) error {
 	if e.store.InTxn() {
 		return fmt.Errorf("engine: cannot checkpoint during a transaction")
 	}
-	err := l.WriteCheckpoint(func(cw *wal.CheckpointWriter) error {
+	err := e.wal.WriteCheckpoint(func(cw *wal.CheckpointWriter) error {
 		var schema strings.Builder
 		if err := dumpTables(&schema, e.store.Catalog()); err != nil {
 			return err
@@ -349,35 +341,54 @@ func (e *Engine) CheckpointTo(l *wal.Log) error {
 	return nil
 }
 
-// LoadCheckpoint installs a recovered checkpoint image into an empty
-// engine: schema script, tuples with their original handles, rule script,
-// handle counter. Call before replaying the log tail and before AttachWAL.
+// LoadCheckpoint replaces the whole database in place with a checkpoint
+// image — schema script, tuples with their original handles, rule script,
+// handle counter — or, given nil, with an empty database. Crash recovery
+// calls it before replaying the log tail; a replication follower calls it
+// to install a leader's image and to reset, with its log attached. Like
+// ReplayRecord it never logs what it applies.
 func (e *Engine) LoadCheckpoint(ck *wal.Checkpoint) error {
-	if e.wal != nil {
-		return fmt.Errorf("engine: load checkpoint after WAL attach")
+	if e.store.InTxn() {
+		return fmt.Errorf("engine: cannot load a checkpoint during a transaction")
 	}
-	if _, err := e.Exec(ck.Meta.Schema); err != nil {
-		return fmt.Errorf("engine: checkpoint schema: %w", err)
-	}
-	for _, batch := range ck.Tables {
-		for _, tup := range batch.Tuples {
-			row, err := cellsToRow(tup.Row)
-			if err != nil {
-				return err
-			}
-			if err := e.store.ReplayInsert(batch.Table, storage.Handle(tup.Handle), row); err != nil {
-				return fmt.Errorf("engine: checkpoint rows: %w", err)
+	e.clear()
+	if ck != nil {
+		if err := e.applyDefinitions(ck.Meta.Schema); err != nil {
+			return fmt.Errorf("engine: checkpoint schema: %w", err)
+		}
+		for _, batch := range ck.Tables {
+			for _, tup := range batch.Tuples {
+				row, err := cellsToRow(tup.Row)
+				if err != nil {
+					return err
+				}
+				if err := e.store.ReplayInsert(batch.Table, storage.Handle(tup.Handle), row); err != nil {
+					return fmt.Errorf("engine: checkpoint rows: %w", err)
+				}
 			}
 		}
-	}
-	if ck.Rules != "" {
-		if _, err := e.Exec(ck.Rules); err != nil {
+		if err := e.applyDefinitions(ck.Rules); err != nil {
 			return fmt.Errorf("engine: checkpoint rules: %w", err)
 		}
+		e.store.RestoreNextHandle(storage.Handle(ck.Meta.LastHandle))
 	}
-	e.store.RestoreNextHandle(storage.Handle(ck.Meta.LastHandle))
 	// One publish for the whole image: the replayed rows went in without
 	// per-record publishes (see ReplayRecord).
 	e.PublishSnapshot()
+	return nil
+}
+
+// applyDefinitions applies a script of definition statements (a
+// checkpoint's schema or rule script) without logging it.
+func (e *Engine) applyDefinitions(src string) error {
+	stmts, err := sqlparse.ParseStatements(src)
+	if err != nil {
+		return err
+	}
+	for _, st := range stmts {
+		if err := e.applyDefinition(st); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -205,18 +205,24 @@ func New(cfg Config) *Engine {
 	if cfg.MaxRuleTransitions == 0 {
 		cfg.MaxRuleTransitions = defaultMaxRuleTransitions
 	}
-	sel := rules.NewSelector()
-	sel.Strategy = cfg.Strategy
-	sel.Choose = cfg.SelectHook
-	e := &Engine{
-		store:    storage.New(),
-		ruleSet:  make(map[string]*rules.Rule),
-		selector: sel,
-		procs:    make(map[string]ProcFunc),
-		cfg:      cfg,
-	}
+	e := &Engine{procs: make(map[string]ProcFunc), cfg: cfg}
+	e.clear()
 	e.publish()
 	return e
+}
+
+// clear empties the database: tables, rules and priorities. Registered
+// procedures, the trace hook, the attached log and the cumulative
+// counters survive it.
+func (e *Engine) clear() {
+	sel := rules.NewSelector()
+	sel.Strategy = e.cfg.Strategy
+	sel.Choose = e.cfg.SelectHook
+	e.store = storage.New()
+	e.ruleSet = make(map[string]*rules.Rule)
+	e.defOrder = nil
+	e.selector = sel
+	e.seq = 0
 }
 
 // Store exposes the underlying storage engine (read-mostly helpers for

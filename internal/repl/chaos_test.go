@@ -17,7 +17,6 @@
 package repl_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,8 +28,6 @@ import (
 
 	"sopr"
 	"sopr/client"
-	"sopr/internal/repl"
-	"sopr/internal/server"
 )
 
 // linkProxy is a severable TCP link: it forwards byte streams to target
@@ -127,122 +124,30 @@ func (lp *linkProxy) session(down net.Conn) {
 	up.Close()
 }
 
-// chaosNode is one server-fronted node: either a repl.Primary or a
-// repl.Follower behind a server.Server.
-type chaosNode struct {
-	addr string
-	p    *repl.Primary
-	fl   *repl.Follower
-	srv  *server.Server
-}
-
-func (n *chaosNode) dump(t *testing.T) string {
+// startChaosNode boots a node following upstream ("" leads); dir != ""
+// makes it durable (its own WAL, promotable into a stream source).
+func startChaosNode(t *testing.T, upstream, dir string, syncFollowers int, syncTimeout time.Duration) *node {
 	t.Helper()
-	c, err := client.Dial(n.addr)
-	if err != nil {
-		t.Fatalf("dial %s: %v", n.addr, err)
+	db := sopr.Open()
+	if dir != "" {
+		db = openDurable(t, dir)
 	}
-	defer c.Close()
-	s, err := c.Dump()
-	if err != nil {
-		t.Fatalf("dump %s: %v", n.addr, err)
-	}
-	return s
-}
-
-func startChaosPrimary(t *testing.T, dir string, syncFollowers int, syncTimeout time.Duration) *chaosNode {
-	t.Helper()
-	db, err := sopr.OpenDurable(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := repl.NewPrimary(db, repl.PrimaryConfig{
-		SyncFollowers: syncFollowers,
-		SyncTimeout:   syncTimeout,
-		Source:        repl.SourceConfig{Heartbeat: 25 * time.Millisecond},
-		Follower: repl.FollowerConfig{
-			ReconnectMin: 10 * time.Millisecond,
-			ReconnectMax: 200 * time.Millisecond,
-			AckInterval:  10 * time.Millisecond,
-			Logf:         t.Logf,
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(p, server.Config{ReplWaitTimeout: 2 * time.Second})
-	ln, err := server.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	n := &chaosNode{addr: ln.Addr().String(), p: p, srv: srv}
-	t.Cleanup(func() { stopChaosNode(t, n) })
-	return n
-}
-
-// startChaosFollower boots a follower of upstream; dir != "" makes it
-// durable (its own WAL, promotable into a stream source).
-func startChaosFollower(t *testing.T, upstream, dir string, syncFollowers int, syncTimeout time.Duration) *chaosNode {
-	t.Helper()
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:       upstream,
-		DataDir:       dir,
-		SyncFollowers: syncFollowers,
-		SyncTimeout:   syncTimeout,
-		Heartbeat:     25 * time.Millisecond,
-		ReconnectMin:  10 * time.Millisecond,
-		ReconnectMax:  200 * time.Millisecond,
-		AckInterval:   10 * time.Millisecond,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fl.Run()
-	srv := server.New(fl, server.Config{ReplWaitTimeout: 2 * time.Second})
-	ln, err := server.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	n := &chaosNode{addr: ln.Addr().String(), fl: fl, srv: srv}
-	t.Cleanup(func() { stopChaosNode(t, n) })
-	return n
-}
-
-func stopChaosNode(t *testing.T, n *chaosNode) {
-	t.Helper()
-	if n.srv == nil {
-		return
-	}
-	shutdownServer(t, n.srv)
-	if n.p != nil {
-		_ = n.p.Close()
-	}
-	if n.fl != nil {
-		n.fl.Close()
-	}
-	n.srv = nil
-}
-
-func shutdownServer(t *testing.T, srv *server.Server) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
+	cfg := testConfig(t, upstream)
+	cfg.Heartbeat = 25 * time.Millisecond
+	cfg.ReconnectMax = 200 * time.Millisecond
+	cfg.SyncFollowers, cfg.SyncTimeout = syncFollowers, syncTimeout
+	return startNode(t, db, cfg, "127.0.0.1:0")
 }
 
 func TestPartitionFailoverChaos(t *testing.T) {
 	base := t.TempDir()
 	const syncTimeout = 500 * time.Millisecond
 
-	p := startChaosPrimary(t, filepath.Join(base, "p"), 2, syncTimeout)
+	p := startChaosNode(t, "", filepath.Join(base, "p"), 2, syncTimeout)
 	lp := startLinkProxy(t, p.addr) // every peer reaches P through this link
-	a := startChaosFollower(t, lp.addr(), filepath.Join(base, "a"), 1, syncTimeout)
-	b := startChaosFollower(t, lp.addr(), filepath.Join(base, "b"), 1, syncTimeout)
-	c := startChaosFollower(t, lp.addr(), "", 0, 0) // in-memory: cannot lead durably
+	a := startChaosNode(t, lp.addr(), filepath.Join(base, "a"), 1, syncTimeout)
+	b := startChaosNode(t, lp.addr(), filepath.Join(base, "b"), 1, syncTimeout)
+	c := startChaosNode(t, lp.addr(), "", 0, 0) // in-memory: cannot lead durably
 
 	cl, err := client.DialCluster([]string{lp.addr(), a.addr, b.addr, c.addr}, client.WithLogf(t.Logf))
 	if err != nil {
@@ -256,8 +161,8 @@ func TestPartitionFailoverChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "three followers connected and caught up", func() bool {
-		want := p.p.CurrentLSN()
-		return a.fl.AppliedLSN() >= want && b.fl.AppliedLSN() >= want && c.fl.AppliedLSN() >= want
+		want := p.n.CurrentLSN()
+		return a.n.CurrentLSN() >= want && b.n.CurrentLSN() >= want && c.n.CurrentLSN() >= want
 	})
 
 	// Phase 1: write storm under sync-commit (N=2). Every ack must carry
@@ -300,7 +205,7 @@ func TestPartitionFailoverChaos(t *testing.T) {
 			t.Fatalf("zombie write carries epoch %d, want 0", res.Epoch)
 		}
 	}
-	if st := p.p.ReplStats(); st.SyncTimeouts == 0 {
+	if st := p.n.ReplStats(); st.SyncTimeouts == 0 {
 		t.Fatalf("no sync timeout recorded on the partitioned primary: %+v", st)
 	}
 
@@ -317,17 +222,17 @@ func TestPartitionFailoverChaos(t *testing.T) {
 	if epoch != 1 {
 		t.Fatalf("cluster epoch after failover = %d, want 1", epoch)
 	}
-	var leader, sibling *chaosNode
+	var leader, sibling *node
 	switch {
-	case a.fl.Promoted() && !b.fl.Promoted():
+	case a.n.Promoted() && !b.n.Promoted():
 		leader, sibling = a, b
-	case b.fl.Promoted() && !a.fl.Promoted():
+	case b.n.Promoted() && !a.n.Promoted():
 		leader, sibling = b, a
 	default:
 		t.Fatalf("promoted: a=%v b=%v, want exactly one durable follower promoted",
-			a.fl.Promoted(), b.fl.Promoted())
+			a.n.Promoted(), b.n.Promoted())
 	}
-	if c.fl.Promoted() {
+	if c.n.Promoted() {
 		t.Fatal("in-memory follower was promoted over a durable sibling")
 	}
 	if leaderAddr != leader.addr {
@@ -338,11 +243,11 @@ func TestPartitionFailoverChaos(t *testing.T) {
 	// The re-pointed survivors resume from their applied LSN against the
 	// new leader — no re-bootstrap, no divergence.
 	waitFor(t, "siblings re-pointed at the new leader", func() bool {
-		return sibling.fl.Leader() == leader.addr && c.fl.Leader() == leader.addr &&
-			sibling.fl.AppliedLSN() >= leader.fl.CurrentLSN() &&
-			c.fl.AppliedLSN() >= leader.fl.CurrentLSN()
+		return sibling.n.Leader() == leader.addr && c.n.Leader() == leader.addr &&
+			sibling.n.CurrentLSN() >= leader.n.CurrentLSN() &&
+			c.n.CurrentLSN() >= leader.n.CurrentLSN()
 	})
-	if st := sibling.fl.ReplStats(); st.Resets != 0 {
+	if st := sibling.n.ReplStats(); st.Resets != 0 {
 		t.Fatalf("re-pointed durable sibling reset %d times; it shares the leader's history", st.Resets)
 	}
 
@@ -376,7 +281,7 @@ func TestPartitionFailoverChaos(t *testing.T) {
 	if _, err := zc.Exec(`insert into kv values ('fenced2', 1);`); !client.IsRemote(err, client.CodeFenced) {
 		t.Fatalf("write to fenced zombie = %v, want remote %s", err, client.CodeFenced)
 	}
-	if st := p.p.ReplStats(); !st.Fenced {
+	if st := p.n.ReplStats(); !st.Fenced {
 		t.Fatalf("zombie stats not fenced: %+v", st)
 	}
 
@@ -386,14 +291,14 @@ func TestPartitionFailoverChaos(t *testing.T) {
 	lp.heal()
 	waitFor(t, "healed ex-primary demoted under the new leader", func() bool {
 		cl.Refresh()
-		st := p.p.ReplStats()
+		st := p.n.ReplStats()
 		return st.Role == "replica" && st.Leader == leader.addr
 	})
 	waitFor(t, "demoted ex-primary caught up to the leader", func() bool {
-		st := p.p.ReplStats()
-		return st.Connected && p.p.CurrentLSN() >= leader.fl.CurrentLSN()
+		st := p.n.ReplStats()
+		return st.Connected && p.n.CurrentLSN() >= leader.n.CurrentLSN()
 	})
-	if st := p.p.ReplStats(); st.Resets == 0 || st.DiscardedRecords == 0 {
+	if st := p.n.ReplStats(); st.Resets == 0 || st.DiscardedRecords == 0 {
 		t.Fatalf("returning primary kept its zombie suffix: resets=%d discarded=%d",
 			st.Resets, st.DiscardedRecords)
 	}
@@ -406,13 +311,13 @@ func TestPartitionFailoverChaos(t *testing.T) {
 	}
 	syncedKeys = append(syncedKeys, "final")
 	waitFor(t, "all four nodes at the final LSN", func() bool {
-		return p.p.CurrentLSN() >= res.LSN && sibling.fl.AppliedLSN() >= res.LSN &&
-			c.fl.AppliedLSN() >= res.LSN && leader.fl.CurrentLSN() >= res.LSN
+		return p.n.CurrentLSN() >= res.LSN && sibling.n.CurrentLSN() >= res.LSN &&
+			c.n.CurrentLSN() >= res.LSN && leader.n.CurrentLSN() >= res.LSN
 	})
 	want := leader.dump(t)
-	for _, n := range []*chaosNode{p, sibling, c} {
-		if got := n.dump(t); got != want {
-			t.Errorf("node %s diverged from leader:\n--- leader ---\n%s\n--- node ---\n%s", n.addr, want, got)
+	for _, nd := range []*node{p, sibling, c} {
+		if got := nd.dump(t); got != want {
+			t.Errorf("node %s diverged from leader:\n--- leader ---\n%s\n--- node ---\n%s", nd.addr, want, got)
 		}
 	}
 

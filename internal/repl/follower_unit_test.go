@@ -6,17 +6,27 @@ import (
 	"testing"
 	"time"
 
+	"sopr"
 	"sopr/internal/wire"
 )
+
+// newTestFollower returns an in-memory node following an address nothing
+// listens on: its stream loop only redials, and the tests drive it by hand.
+func newTestFollower(t *testing.T) *Node {
+	t.Helper()
+	n, err := NewNode(sopr.Open(), Config{Leader: "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	return n
+}
 
 // TestApplyRecordRejectsGaps: a record whose LSN is not exactly
 // applied+1 means the stream skipped or repeated something — the
 // follower must refuse it rather than apply out of order.
 func TestApplyRecordRejectsGaps(t *testing.T) {
-	f, err := NewFollower(FollowerConfig{Primary: "unused:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFollower(t)
 	rec := func(lsn uint64) *wire.ReplRecord {
 		payload, _ := json.Marshal(map[string]any{"last_handle": lsn})
 		return &wire.ReplRecord{LSN: lsn, Kind: 1, Payload: payload}
@@ -30,7 +40,7 @@ func TestApplyRecordRejectsGaps(t *testing.T) {
 	if err := f.applyRecord(rec(1)); err == nil {
 		t.Fatal("repeated lsn 1 accepted")
 	}
-	if got := f.AppliedLSN(); got != 1 {
+	if got := f.CurrentLSN(); got != 1 {
 		t.Fatalf("applied = %d, want 1", got)
 	}
 }
@@ -39,27 +49,21 @@ func TestApplyRecordRejectsGaps(t *testing.T) {
 // leaves the follower reset to lsn 0, forcing a checkpoint re-bootstrap
 // instead of serving half-applied state.
 func TestApplyFailureResets(t *testing.T) {
-	f, err := NewFollower(FollowerConfig{Primary: "unused:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFollower(t)
 	// A DDL record whose script is garbage fails replay.
 	payload, _ := json.Marshal(map[string]any{"sql": "definitely not sql ;"})
 	if err := f.applyRecord(&wire.ReplRecord{LSN: 1, Kind: 2, Payload: payload}); err == nil {
 		t.Fatal("unreplayable record accepted")
 	}
-	if got := f.AppliedLSN(); got != 0 {
+	if got := f.CurrentLSN(); got != 0 {
 		t.Fatalf("applied = %d after failed apply, want 0 (reset)", got)
 	}
 }
 
 func TestWaitForLSN(t *testing.T) {
-	f, err := NewFollower(FollowerConfig{Primary: "unused:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFollower(t)
 	// Timeout path: the typed lag error carries both positions.
-	err = f.WaitForLSN(5, 20*time.Millisecond)
+	err := f.WaitForLSN(5, 20*time.Millisecond)
 	var le *LagError
 	if !errors.As(err, &le) || le.Need != 5 || le.Have != 0 {
 		t.Fatalf("WaitForLSN = %v, want LagError{Need:5, Have:0}", err)
@@ -68,7 +72,7 @@ func TestWaitForLSN(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- f.WaitForLSN(2, 5*time.Second) }()
 	time.Sleep(10 * time.Millisecond)
-	f.advanceTo(2)
+	f.advanced(2)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -87,10 +91,7 @@ func TestWaitForLSN(t *testing.T) {
 }
 
 func TestExecReadOnlyUntilPromoted(t *testing.T) {
-	f, err := NewFollower(FollowerConfig{Primary: "unused:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFollower(t)
 	if _, err := f.Exec(`create table t (a int);`); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Exec before promotion = %v, want ErrReadOnly", err)
 	}

@@ -15,33 +15,31 @@
 // Failover keeps that stream single under partitions with promotion
 // epochs (wal.EpochRecord): every promotion appends an epoch record to
 // the new leader's log, and the epoch travels on exec requests, stream
-// records, and acks. A node that sees a higher epoch than its own fences
+// records, and acks. A leader that sees a higher epoch than its own fences
 // itself — its writes answer the typed FencedError until it is demoted
 // (Follow) into the new leader's follower, truncating any unshipped
-// suffix (reported loudly in stats). A durable follower (FollowerConfig
-// .DataDir) persists the stream into its own wal.Log, so after promotion
-// it serves as a WAL-shipping source itself and its former siblings
-// re-point to it and resume from their applied LSN.
+// suffix (reported loudly in stats). A durable follower persists the
+// stream into its own wal.Log, so after promotion it serves as a
+// WAL-shipping source itself and its former siblings re-point to it and
+// resume from their applied LSN.
 //
-// Source is the leader side: it serves stream sessions from an open
-// wal.Log, pinning WAL retention at the slowest connected follower,
-// refusing joins from diverged histories (the epoch table makes the check
-// exact), and releasing synchronous commits as follower acks arrive.
-// Follower is the replica side: a reconnecting apply loop plus the server
-// backend (Exec is rejected with ErrReadOnly until promotion). Primary
-// wraps a durable sopr.DB as the leader-side server backend, adding
-// fencing, sync-commit waits, and demotion into a shared-engine Follower.
+// Node is the one server backend for every role. It serves through a
+// sopr.DB — durable (sopr.OpenDurable) for a primary or a durable
+// follower, in-memory (sopr.Open) for a follower that keeps no local
+// state — and moves between leading, following and fenced: Promote,
+// Follow and a newer epoch are role changes of the same node over the
+// same database. While following, its stream loop applies records under
+// the database's own write mutex, so reads are the same lock-free
+// snapshot loads a primary serves. Source is the leader side of a
+// stream: it serves sessions from a durable node's wal.Log, pinning WAL
+// retention at the slowest connected follower, refusing joins from
+// diverged histories (the epoch table makes the check exact), and
+// releasing synchronous commits as follower acks arrive.
 package repl
 
 import (
 	"errors"
 	"fmt"
-
-	"sopr"
-	"sopr/internal/engine"
-	"sopr/internal/exec"
-	"sopr/internal/sqlparse"
-	"sopr/internal/value"
 )
 
 // ErrReadOnly rejects writes on a replica. The server maps it to the wire
@@ -80,59 +78,4 @@ type StaleEpochError struct {
 
 func (e *StaleEpochError) Error() string {
 	return fmt.Sprintf("repl: request epoch is older than node epoch %d", e.Epoch)
-}
-
-// rowsFromExec converts an executor result into the public Rows type, the
-// same cell mapping the sopr package applies to local query results.
-func rowsFromExec(res *exec.Result) *sopr.Rows {
-	if res == nil {
-		return nil
-	}
-	data := make([][]any, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		vals := make([]any, len(row))
-		for i, v := range row {
-			switch v.Kind() {
-			case value.KindNull:
-				vals[i] = nil
-			case value.KindInt:
-				vals[i] = v.Int()
-			case value.KindFloat:
-				vals[i] = v.Float()
-			case value.KindString:
-				vals[i] = v.Str()
-			case value.KindBool:
-				vals[i] = v.Bool()
-			}
-		}
-		data = append(data, vals)
-	}
-	return sopr.NewRows(res.Columns, data)
-}
-
-// resultFromTxn converts an engine transaction result into the public
-// Result type (used by a promoted follower's write path).
-func resultFromTxn(txn *engine.TxnResult) *sopr.Result {
-	if txn == nil {
-		return nil
-	}
-	res := &sopr.Result{RolledBack: txn.RolledBack, RollbackRule: txn.RollbackRule}
-	for _, f := range txn.Firings {
-		res.Firings = append(res.Firings, sopr.Firing{Rule: f.Rule, Effect: f.Effect})
-	}
-	for _, q := range txn.Queries {
-		res.Results = append(res.Results, rowsFromExec(q))
-	}
-	return res
-}
-
-// wrapParse converts internal syntax errors to the public ParseError, as
-// the sopr package does for local execution, so the server reports the
-// offending line for scripts rejected by a replica.
-func wrapParse(err error) error {
-	var se *sqlparse.SyntaxError
-	if errors.As(err, &se) {
-		return &sopr.ParseError{Line: se.Line, Col: se.Col, Msg: se.Msg}
-	}
-	return err
 }

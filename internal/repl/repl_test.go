@@ -8,6 +8,7 @@ package repl_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -29,40 +30,36 @@ create rule raise when inserted into emp
 then update emp set bonus = 100 where name in (select name from inserted emp) end;
 `
 
-// primary is a durable soprd-shaped node under test.
-type primary struct {
+// node is a repl.Node fronted by a server, as soprd runs it.
+type node struct {
 	addr string
 	db   *sopr.DB
+	n    *repl.Node
 	srv  *server.Server
 }
 
-func startPrimary(t *testing.T, dir string) *primary {
-	t.Helper()
-	db, err := sopr.OpenDurable(dir)
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
+// testConfig is a replication config with test-speed timers, following
+// leader ("" leads).
+func testConfig(t *testing.T, leader string) repl.Config {
+	return repl.Config{
+		Leader:       leader,
+		Heartbeat:    50 * time.Millisecond,
+		ReconnectMin: 10 * time.Millisecond,
+		ReconnectMax: 250 * time.Millisecond,
+		AckInterval:  10 * time.Millisecond,
+		Logf:         t.Logf,
 	}
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
-	srv := server.New(db, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
-	ln, err := server.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	go srv.Serve(ln)
-	p := &primary{addr: ln.Addr().String(), db: db, srv: srv}
-	t.Cleanup(func() { p.stop(t) })
-	return p
 }
 
-// restart brings a stopped primary back on its old address and data dir.
-func restartPrimary(t *testing.T, dir, addr string) *primary {
+// startNode serves db as a node on addr (port 0 picks a free one),
+// retrying while a just-stopped node still holds the address.
+func startNode(t *testing.T, db *sopr.DB, cfg repl.Config, addr string) *node {
 	t.Helper()
-	db, err := sopr.OpenDurable(dir)
+	rn, err := repl.NewNode(db, cfg)
 	if err != nil {
-		t.Fatalf("reopen durable: %v", err)
+		t.Fatalf("NewNode: %v", err)
 	}
-	src := repl.NewSource(db.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
-	srv := server.New(db, server.Config{Repl: src, ReplWaitTimeout: 2 * time.Second})
+	srv := server.New(rn, server.Config{ReplWaitTimeout: 2 * time.Second})
 	var ln net.Listener
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -71,87 +68,69 @@ func restartPrimary(t *testing.T, dir, addr string) *primary {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("relisten on %s: %v", addr, err)
+			t.Fatalf("listen on %s: %v", addr, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	go srv.Serve(ln)
-	p := &primary{addr: addr, db: db, srv: srv}
-	t.Cleanup(func() { p.stop(t) })
-	return p
+	nd := &node{addr: ln.Addr().String(), db: db, n: rn, srv: srv}
+	t.Cleanup(func() { nd.stop(t) })
+	return nd
 }
 
-func (p *primary) stop(t *testing.T) {
+func openDurable(t *testing.T, dir string) *sopr.DB {
 	t.Helper()
-	if p.srv == nil {
+	db, err := sopr.OpenDurable(dir)
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	return db
+}
+
+// startPrimary boots a durable leading node on dir.
+func startPrimary(t *testing.T, dir string) *node {
+	return startNode(t, openDurable(t, dir), testConfig(t, ""), "127.0.0.1:0")
+}
+
+// restartPrimary brings a stopped primary back on its old address, over
+// dir.
+func restartPrimary(t *testing.T, dir, addr string) *node {
+	return startNode(t, openDurable(t, dir), testConfig(t, ""), addr)
+}
+
+// startReplica boots an in-memory node following primaryAddr.
+func startReplica(t *testing.T, primaryAddr string) *node {
+	return startNode(t, sopr.Open(), testConfig(t, primaryAddr), "127.0.0.1:0")
+}
+
+func (nd *node) stop(t *testing.T) {
+	t.Helper()
+	if nd.srv == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_ = p.srv.Shutdown(ctx)
-	_ = p.db.Close()
-	p.srv = nil
+	_ = nd.srv.Shutdown(ctx)
+	_ = nd.n.Close()
+	nd.srv = nil
 }
 
-func (p *primary) exec(t *testing.T, src string) *sopr.Result {
+func (nd *node) exec(t *testing.T, src string) *sopr.Result {
 	t.Helper()
-	res, err := p.db.Exec(src)
+	res, err := nd.n.Exec(src)
 	if err != nil {
-		t.Fatalf("primary exec: %v", err)
+		t.Fatalf("exec on %s: %v", nd.addr, err)
 	}
 	return res
 }
 
-func (p *primary) dump(t *testing.T) string {
+func (nd *node) dump(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	if err := p.db.Dump(&b); err != nil {
-		t.Fatalf("primary dump: %v", err)
+	if err := nd.db.Dump(&b); err != nil {
+		t.Fatalf("dump %s: %v", nd.addr, err)
 	}
 	return b.String()
-}
-
-// replica is a follower plus the server that fronts it.
-type replica struct {
-	addr string
-	fl   *repl.Follower
-	srv  *server.Server
-}
-
-func startReplica(t *testing.T, primaryAddr string) *replica {
-	t.Helper()
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:      primaryAddr,
-		ReconnectMin: 10 * time.Millisecond,
-		ReconnectMax: 250 * time.Millisecond,
-		AckInterval:  10 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("NewFollower: %v", err)
-	}
-	go fl.Run()
-	srv := server.New(fl, server.Config{ReplWaitTimeout: 500 * time.Millisecond})
-	ln, err := server.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	go srv.Serve(ln)
-	r := &replica{addr: ln.Addr().String(), fl: fl, srv: srv}
-	t.Cleanup(func() { r.stop(t) })
-	return r
-}
-
-func (r *replica) stop(t *testing.T) {
-	t.Helper()
-	if r.srv == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = r.srv.Shutdown(ctx)
-	r.fl.Close()
-	r.srv = nil
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -165,10 +144,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func waitCaughtUp(t *testing.T, r *replica, lsn uint64) {
+func waitCaughtUp(t *testing.T, r *node, lsn uint64) {
 	t.Helper()
-	waitFor(t, fmt.Sprintf("replica to reach lsn %d (at %d)", lsn, r.fl.AppliedLSN()),
-		func() bool { return r.fl.AppliedLSN() >= lsn })
+	waitFor(t, fmt.Sprintf("replica to reach lsn %d (at %d)", lsn, r.n.CurrentLSN()),
+		func() bool { return r.n.CurrentLSN() >= lsn })
 }
 
 func TestFollowerStreamsAndServesReads(t *testing.T) {
@@ -247,13 +226,13 @@ func TestCheckpointBootstrap(t *testing.T) {
 	r := startReplica(t, p.addr)
 	waitCaughtUp(t, r, p.db.CurrentLSN())
 	var b strings.Builder
-	if err := r.fl.Dump(&b); err != nil {
+	if err := r.db.Dump(&b); err != nil {
 		t.Fatalf("replica dump: %v", err)
 	}
 	if want := p.dump(t); b.String() != want {
 		t.Fatal("replica dump diverges from primary after checkpoint bootstrap")
 	}
-	if st := r.fl.ReplStats(); !st.Connected || st.Lag != 0 {
+	if st := r.n.ReplStats(); !st.Connected || st.Lag != 0 {
 		t.Fatalf("replica stats after catch-up = %+v", st)
 	}
 }
@@ -277,7 +256,7 @@ func TestFollowerKillRejoin(t *testing.T) {
 	r2 := startReplica(t, p.addr)
 	waitCaughtUp(t, r2, p.db.CurrentLSN())
 	var b strings.Builder
-	if err := r2.fl.Dump(&b); err != nil {
+	if err := r2.db.Dump(&b); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != p.dump(t) {
@@ -302,7 +281,7 @@ func TestPrimaryRestartFollowerReconnects(t *testing.T) {
 	p2.exec(t, `insert into emp values ('b', 2, 2, 0);`)
 	waitCaughtUp(t, r, p2.db.CurrentLSN())
 	var b strings.Builder
-	if err := r.fl.Dump(&b); err != nil {
+	if err := r.db.Dump(&b); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != p2.dump(t) {
@@ -381,14 +360,141 @@ func TestPromoteMakesReplicaWritable(t *testing.T) {
 	if err != nil || st.Repl == nil || !st.Repl.Promoted {
 		t.Fatalf("promoted stats = %+v, err %v", st.Repl, err)
 	}
-	// Promoting a primary is refused.
+	// Promoting a leader is a no-op: no new epoch, still the primary.
 	pc, err := client.Dial(p.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if err := pc.Promote(); !client.IsRemote(err, "") {
-		t.Fatalf("promote on primary = %v, want remote error", err)
+	lsn := p.n.CurrentLSN()
+	if epoch, _, err := pc.PromoteTo(0); err != nil || epoch != 0 {
+		t.Fatalf("promote on primary = epoch %d, err %v; want epoch 0", epoch, err)
+	}
+	if st := p.n.ReplStats(); st.Role != "primary" || st.Epoch != 0 || p.n.CurrentLSN() != lsn {
+		t.Fatalf("primary after no-op promote: %+v (lsn %d, was %d)", st, p.n.CurrentLSN(), lsn)
+	}
+}
+
+// TestRepromotedPrimaryReportsPromoted: a primary demoted under a new
+// leader and later re-elected leads by promotion, as a promoted replica
+// does; a primary that never followed does not.
+func TestRepromotedPrimaryReportsPromoted(t *testing.T) {
+	p := startPrimary(t, t.TempDir())
+	if st := p.n.ReplStats(); st.Role != "primary" || st.Promoted {
+		t.Fatalf("startup primary stats = %+v, want role primary, not promoted", st)
+	}
+	if err := p.n.Follow("127.0.0.1:1", 1); err != nil {
+		t.Fatalf("Follow: %v", err)
+	}
+	if _, err := p.n.Promote(0); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	if st := p.n.ReplStats(); st.Role != "primary" || !st.Promoted || st.Epoch != 2 {
+		t.Fatalf("re-promoted stats = %+v, want role primary, promoted, epoch 2", st)
+	}
+}
+
+// TestFencedPromotedNodeParksUntilFollow: a promoted node fenced by a
+// newer epoch is a fenced primary, exactly as a fenced startup primary is:
+// it refuses writes and does not redial its pre-promotion upstream until
+// Follow demotes it under the new leader.
+func TestFencedPromotedNodeParksUntilFollow(t *testing.T) {
+	up, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	dials := make(chan net.Conn, 64)
+	go func() {
+		for {
+			c, err := up.Accept()
+			if err != nil {
+				return
+			}
+			dials <- c
+		}
+	}()
+	defer func() {
+		for len(dials) > 0 {
+			_ = (<-dials).Close()
+		}
+	}()
+	nextDial := func(within time.Duration) net.Conn {
+		select {
+		case c := <-dials:
+			return c
+		case <-time.After(within):
+			return nil
+		}
+	}
+
+	r := startNode(t, sopr.Open(), testConfig(t, up.Addr().String()), "127.0.0.1:0")
+	first := nextDial(5 * time.Second) // held open: the node waits on it
+	if first == nil {
+		t.Fatal("node never dialed its upstream")
+	}
+	defer first.Close()
+	// Reading the join proves the node registered the connection, so
+	// Promote closes it and the stream loop parks.
+	if typ, _, err := wire.ReadFrame(first, wire.ReplMaxFrame); err != nil || typ != wire.MsgReplJoin {
+		t.Fatalf("first frame from the node: typ %#x, err %v; want a join", typ, err)
+	}
+	if _, err := r.n.Promote(0); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	r.n.ObserveEpoch(5)
+
+	st := r.n.ReplStats()
+	if st.Role != "primary" || !st.Fenced || st.Promoted || st.Epoch != 5 {
+		t.Fatalf("fenced stats = %+v, want role primary, fenced, not promoted, epoch 5", st)
+	}
+	var fe *repl.FencedError
+	if _, err := r.n.Exec(`create table t (a int);`); !errors.As(err, &fe) || fe.Epoch != 5 {
+		t.Fatalf("Exec on fenced node = %v, want FencedError{Epoch: 5}", err)
+	}
+	// Reconnect backoff is 10ms here: a node still streaming would have
+	// redialed many times over.
+	if c := nextDial(300 * time.Millisecond); c != nil {
+		c.Close()
+		t.Fatal("fenced node redialed its pre-promotion upstream")
+	}
+
+	if err := r.n.Follow(up.Addr().String(), 5); err != nil {
+		t.Fatalf("Follow: %v", err)
+	}
+	c := nextDial(5 * time.Second)
+	if c == nil {
+		t.Fatal("demoted node never dialed its new leader")
+	}
+	c.Close()
+	if st := r.n.ReplStats(); st.Role != "replica" || st.Fenced {
+		t.Fatalf("demoted stats = %+v, want role replica, not fenced", st)
+	}
+}
+
+// TestFencedNodeAnswersLaggingReads: a fenced node is no longer the
+// freshest state in the cluster, so it serves a read-your-writes token
+// only up to its own position; a newer token waits and answers
+// CodeLagging.
+func TestFencedNodeAnswersLaggingReads(t *testing.T) {
+	p := startPrimary(t, t.TempDir())
+	p.exec(t, testSchema)
+	lsn := p.n.CurrentLSN()
+	p.n.ObserveEpoch(1)
+	if st := p.n.ReplStats(); !st.Fenced {
+		t.Fatalf("primary not fenced after a newer epoch: %+v", st)
+	}
+
+	c, err := client.Dial(p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.QueryAt(`select * from emp;`, lsn); err != nil {
+		t.Fatalf("read at the fenced node's own lsn: %v", err)
+	}
+	if _, err := c.QueryAt(`select * from emp;`, lsn+1); !client.IsRemote(err, client.CodeLagging) {
+		t.Fatalf("read beyond the fenced node's lsn = %v, want remote %s", err, client.CodeLagging)
 	}
 }
 
@@ -503,7 +609,7 @@ func TestTornStreamNeverDiverges(t *testing.T) {
 		t.Fatal("chaos proxy never killed a session; the test exercised nothing")
 	}
 	var b strings.Builder
-	if err := r.fl.Dump(&b); err != nil {
+	if err := r.db.Dump(&b); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != p.dump(t) {

@@ -11,45 +11,18 @@ import (
 	"sopr/internal/wire"
 )
 
-// SourceConfig tunes the leader side of replication.
-type SourceConfig struct {
-	// Heartbeat is how often an idle stream sends MsgReplHeartbeat
-	// (default 1s). Followers size their read deadlines from it.
-	Heartbeat time.Duration
-	// WriteTimeout bounds each stream frame write (default 30s).
-	WriteTimeout time.Duration
-	// AckTimeout bounds the silence tolerated on the upstream ack channel
-	// (default 10x Heartbeat, at least 30s). A follower that stops acking
-	// is disconnected so it cannot pin WAL retention forever.
-	AckTimeout time.Duration
-	// BatchBytes caps the payload bytes read per ReadRaw call
-	// (default 1 MiB).
-	BatchBytes int
-	// OnFenced is invoked (outside the source mutex) when a join or an ack
-	// reveals an epoch higher than this log's: the cluster moved on, and
-	// the node owning this source must stop accepting writes. May be nil.
-	OnFenced func(epoch uint64)
-	// Logf receives stream-session log lines; nil discards them.
-	Logf func(format string, args ...any)
-}
-
-func (c *SourceConfig) fill() {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 10 * c.Heartbeat
-		if c.AckTimeout < 30*time.Second {
-			c.AckTimeout = 30 * time.Second
-		}
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 1 << 20
-	}
-}
+// Stream-session limits. The heartbeat cadence is the node's
+// Config.Heartbeat; the rest are fixed.
+const (
+	// sourceWriteTimeout bounds each stream frame write.
+	sourceWriteTimeout = 30 * time.Second
+	// minAckTimeout floors the silence tolerated on the upstream ack
+	// channel (10x the heartbeat, at least this). A follower that stops
+	// acking is disconnected so it cannot pin WAL retention forever.
+	minAckTimeout = 30 * time.Second
+	// sourceBatchBytes caps the payload bytes read per ReadRaw call.
+	sourceBatchBytes = 1 << 20
+)
 
 // Source serves WAL stream sessions from an open log. One Source is shared
 // by every follower connection; each ServeConn call runs one session,
@@ -60,8 +33,14 @@ func (c *SourceConfig) fill() {
 // the latter serves joins from its own log, which is what lets siblings
 // re-point to it after a promotion.
 type Source struct {
-	log *wal.Log
-	cfg SourceConfig
+	log        *wal.Log
+	heartbeat  time.Duration
+	ackTimeout time.Duration
+	// onFenced is invoked (outside the source mutex) when a join or an ack
+	// reveals an epoch higher than this log's: the cluster moved on, and
+	// the node owning this source must stop accepting writes.
+	onFenced func(epoch uint64)
+	logf     func(format string, args ...any)
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -71,47 +50,39 @@ type Source struct {
 	ackCh chan struct{}
 }
 
-// session is the per-follower accounting visible in Stats.
+// session is the per-follower accounting behind followers and WaitForAcks.
 type session struct {
-	addr  string
 	acked uint64 // last LSN the follower acknowledged
 }
 
-// NewSource wraps an open WAL log for stream serving.
-func NewSource(log *wal.Log, cfg SourceConfig) *Source {
-	cfg.fill()
-	return &Source{log: log, cfg: cfg, sessions: make(map[*session]struct{})}
-}
-
-func (s *Source) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+// newSource wraps an open WAL log for stream serving. A zero heartbeat
+// selects 1s.
+func newSource(log *wal.Log, heartbeat time.Duration, onFenced func(uint64), logf func(string, ...any)) *Source {
+	if heartbeat <= 0 {
+		heartbeat = time.Second
 	}
+	return &Source{log: log, heartbeat: heartbeat, ackTimeout: max(10*heartbeat, minAckTimeout),
+		onFenced: onFenced, logf: logf, sessions: make(map[*session]struct{})}
 }
 
 func (s *Source) fence(epoch uint64) {
 	s.logf("repl: observed epoch %d above local epoch %d; fencing", epoch, s.log.Epoch())
-	if s.cfg.OnFenced != nil {
-		s.cfg.OnFenced(epoch)
-	}
+	s.onFenced(epoch)
 }
 
-// Stats reports the source's replication state: its durable LSN and epoch,
-// the number of connected stream sessions, and the minimum acknowledged
-// LSN across them (the current retention horizon).
-func (s *Source) Stats() *wire.ReplStats {
-	st := &wire.ReplStats{Role: "primary", LSN: s.log.NextLSN() - 1, Epoch: s.log.Epoch(), Durable: true}
+// followers reports the number of connected stream sessions and the
+// minimum acknowledged LSN across them (the retention horizon; 0 with no
+// sessions).
+func (s *Source) followers() (n int, minAcked uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st.Followers = len(s.sessions)
-	first := true
 	for sess := range s.sessions {
-		if first || sess.acked < st.MinFollowerLSN {
-			st.MinFollowerLSN = sess.acked
-			first = false
+		if n == 0 || sess.acked < minAcked {
+			minAcked = sess.acked
 		}
+		n++
 	}
-	return st
+	return n, minAcked
 }
 
 // ackedCount reports how many connected followers have acknowledged lsn.
@@ -184,7 +155,7 @@ func (s *Source) WaitForAcks(lsn uint64, n int, timeout time.Duration) bool {
 
 // write sends one stream frame under the write deadline.
 func (s *Source) write(nc net.Conn, typ byte, v any) error {
-	if err := nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+	if err := nc.SetWriteDeadline(time.Now().Add(sourceWriteTimeout)); err != nil {
 		return err
 	}
 	return wire.WriteMessage(nc, typ, v, wire.ReplMaxFrame)
@@ -268,7 +239,7 @@ func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 		s.logf("repl: %s bootstrapped from checkpoint lsn %d", nc.RemoteAddr(), ckptLSN)
 	}
 
-	sess := &session{addr: nc.RemoteAddr().String(), acked: next - 1}
+	sess := &session{acked: next - 1}
 	s.mu.Lock()
 	s.sessions[sess] = struct{}{}
 	s.mu.Unlock()
@@ -293,7 +264,7 @@ func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 			return err
 		default:
 		}
-		recs, err := s.log.ReadRaw(next, s.cfg.BatchBytes)
+		recs, err := s.log.ReadRaw(next, sourceBatchBytes)
 		if err != nil {
 			// ErrCompacted cannot happen while our pin holds next; anything
 			// here is a real log failure.
@@ -319,7 +290,7 @@ func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 		}
 		select {
 		case <-ch:
-		case <-time.After(s.cfg.Heartbeat):
+		case <-time.After(s.heartbeat):
 			if err := s.write(nc, wire.MsgReplHeartbeat, &wire.ReplHeartbeat{LSN: next - 1, Epoch: s.log.Epoch()}); err != nil {
 				return fmt.Errorf("send heartbeat: %w", err)
 			}
@@ -335,7 +306,7 @@ func (s *Source) ServeConn(nc net.Conn, join wire.ReplJoinRequest) error {
 // once.
 func (s *Source) readAcks(nc net.Conn, sess *session, pin *wal.Pin, ackErr chan<- error) {
 	for {
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.AckTimeout)); err != nil {
+		if err := nc.SetReadDeadline(time.Now().Add(s.ackTimeout)); err != nil {
 			ackErr <- err
 			return
 		}
@@ -343,7 +314,7 @@ func (s *Source) readAcks(nc net.Conn, sess *session, pin *wal.Pin, ackErr chan<
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				err = fmt.Errorf("follower silent for %v (no acks): %w", s.cfg.AckTimeout, err)
+				err = fmt.Errorf("follower silent for %v (no acks): %w", s.ackTimeout, err)
 			}
 			ackErr <- err
 			return

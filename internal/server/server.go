@@ -35,76 +35,20 @@ import (
 	"sopr/internal/wire"
 )
 
-// DB is the backend a Server serves from: a *sopr.DB, a repl.Primary, or a
-// replica's repl.Follower. Exec lands on the backend's exclusive write
-// path (one operation-block stream, per the paper's Section 2.1); Query,
-// Dump, and Stats are read-only.
+// DB is the backend a Server serves from: a *sopr.DB, or a *repl.Node,
+// whose replication methods the server also serves (promote, follow, the
+// epoch gate, read-your-writes waits, WAL stream joins, replication
+// stats). Exec and ExecBatch land on the backend's exclusive write path
+// (one operation-block stream, per the paper's Section 2.1); Query, Dump,
+// and Stats are read-only. CurrentLSN is the read-your-writes token
+// attached to exec responses.
 type DB interface {
 	Exec(src string) (*sopr.Result, error)
+	ExecBatch(stmts []string) (*sopr.Result, error)
 	Query(src string) (*sopr.Rows, error)
 	Dump(w io.Writer) error
 	Stats() sopr.Stats
-}
-
-// Optional backend capabilities, discovered by interface assertion:
-//
-// BatchExecer lets a backend run a list of data-manipulation statements as
-// one operation block (one engine pass, one commit record, one shared
-// fsync). sopr.DB and repl.Primary implement it; a backend without
-// it serves MsgExecBatch by joining the statements into one script — still
-// a single block, just via the script path. Read-only followers reject
-// either way with their typed read_only error.
-type BatchExecer interface {
-	ExecBatch(stmts []string) (*sopr.Result, error)
-}
-
-// CurrentLSNer lets the server attach the durable LSN to exec responses —
-// the read-your-writes token clients carry to replica reads.
-type CurrentLSNer interface {
 	CurrentLSN() uint64
-}
-
-// LSNWaiter lets a replica backend hold a query until it has applied the
-// client's MinLSN (or report repl.LagError when it cannot in time).
-type LSNWaiter interface {
-	WaitForLSN(lsn uint64, timeout time.Duration) error
-}
-
-// Promoter lets a backend be promoted to accept writes in a new epoch
-// (MsgReplPromote, sent by clients failing over from a dead primary). It
-// returns the epoch actually opened: at least the requested one, and
-// always above every epoch the node has seen.
-type Promoter interface {
-	Promote(epoch uint64) (uint64, error)
-}
-
-// Epocher lets the server run the epoch gate: requests carrying an epoch
-// older than the node's answer CodeStaleEpoch, and a request revealing a
-// newer epoch fences a stale leader before the request executes.
-type Epocher interface {
-	Epoch() uint64
-	ObserveEpoch(epoch uint64)
-}
-
-// FollowerBackend lets a backend be pointed at (or demoted under) a
-// leader for a given epoch (MsgReplFollow): a replica re-points its
-// stream, a primary demotes itself into a follower of the new leader.
-type FollowerBackend interface {
-	Follow(leader string, epoch uint64) error
-}
-
-// ReplSourcer lets a backend serve WAL stream sessions (MsgReplJoin) from
-// its own source — a primary always, a durable follower too, which is
-// what lets siblings re-point to a promoted follower. It takes precedence
-// over Config.Repl.
-type ReplSourcer interface {
-	ReplSource() *repl.Source
-}
-
-// ReplStatser lets a backend report its replication position; backends
-// without it fall back to Config.Repl's source stats.
-type ReplStatser interface {
-	ReplStats() *wire.ReplStats
 }
 
 // Config tunes a Server. Zero values select the defaults.
@@ -117,9 +61,6 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds writing one response (default 30s).
 	WriteTimeout time.Duration
-	// Repl, when set, serves WAL stream sessions (MsgReplJoin) from this
-	// source — set on a durable primary, nil elsewhere.
-	Repl *repl.Source
 	// ReplWaitTimeout bounds how long a replica holds a query waiting for
 	// the client's MinLSN before answering CodeLagging (default 5s).
 	ReplWaitTimeout time.Duration
@@ -138,8 +79,9 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Server serves the wire protocol from one shared database.
 type Server struct {
-	db  DB
-	cfg Config
+	db   DB
+	node *repl.Node // db as a replication node; nil for a plain database
+	cfg  Config
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -184,7 +126,8 @@ func New(db DB, cfg Config) *Server {
 	if cfg.ReplWaitTimeout <= 0 {
 		cfg.ReplWaitTimeout = defaultReplWait
 	}
-	return &Server{db: db, cfg: cfg, conns: map[*conn]struct{}{}}
+	node, _ := db.(*repl.Node)
+	return &Server{db: db, node: node, cfg: cfg, conns: map[*conn]struct{}{}}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -431,16 +374,7 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 		if proceed, alive := s.gateEpoch(c, req.Epoch); !proceed {
 			return alive
 		}
-		var res *sopr.Result
-		var err error
-		if be, ok := s.db.(BatchExecer); ok {
-			res, err = be.ExecBatch(req.Stmts)
-		} else {
-			// Joining the statements into one script is semantically the
-			// same single operation block — just without the batch entry
-			// point's cheaper path.
-			res, err = s.db.Exec(strings.Join(req.Stmts, ";\n"))
-		}
+		res, err := s.db.ExecBatch(req.Stmts)
 		if err != nil {
 			return s.writeError(c, execError(err))
 		}
@@ -453,14 +387,12 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 			s.badFrames.Add(1)
 			return s.writeError(c, wire.ErrorResponse{Code: wire.CodeBadFrame, Message: err.Error()})
 		}
-		if req.MinLSN > 0 {
-			// Read-your-writes: hold the read until the backend has applied
-			// the client's token. Backends without the capability (a primary)
-			// serve current state — the primary is the source of truth.
-			if w, ok := s.db.(LSNWaiter); ok {
-				if err := w.WaitForLSN(req.MinLSN, s.cfg.ReplWaitTimeout); err != nil {
-					return s.writeError(c, execError(err))
-				}
+		if req.MinLSN > 0 && s.node != nil {
+			// Read-your-writes: hold the read until the node has applied the
+			// client's token (a leader is always current). A plain database
+			// serves current state — it is the source of truth.
+			if err := s.node.WaitForLSN(req.MinLSN, s.cfg.ReplWaitTimeout); err != nil {
+				return s.writeError(c, execError(err))
 			}
 		}
 		rows, err := s.db.Query(req.Src)
@@ -482,8 +414,7 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 		return s.write(c, wire.MsgDumpResult, wire.DumpResponse{Script: b.String()})
 
 	case wire.MsgReplPromote:
-		p, ok := s.db.(Promoter)
-		if !ok {
+		if s.node == nil {
 			return s.writeError(c, wire.ErrorResponse{
 				Code:    wire.CodeExec,
 				Message: "this node cannot be promoted",
@@ -498,20 +429,16 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 				return s.writeError(c, wire.ErrorResponse{Code: wire.CodeBadFrame, Message: err.Error()})
 			}
 		}
-		epoch, err := p.Promote(req.Epoch)
+		epoch, err := s.node.Promote(req.Epoch)
 		if err != nil {
 			return s.writeError(c, execError(err))
 		}
-		resp := &wire.ReplPromotedResponse{Epoch: epoch}
-		if ln, ok := s.db.(CurrentLSNer); ok {
-			resp.LSN = ln.CurrentLSN()
-		}
+		resp := &wire.ReplPromotedResponse{Epoch: epoch, LSN: s.node.CurrentLSN()}
 		s.logf("conn %v: promoted to accept writes at epoch %d", c.nc.RemoteAddr(), epoch)
 		return s.write(c, wire.MsgReplPromoted, resp)
 
 	case wire.MsgReplFollow:
-		f, ok := s.db.(FollowerBackend)
-		if !ok {
+		if s.node == nil {
 			return s.writeError(c, wire.ErrorResponse{
 				Code:    wire.CodeExec,
 				Message: "this node cannot follow a leader",
@@ -522,7 +449,7 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 			s.badFrames.Add(1)
 			return s.writeError(c, wire.ErrorResponse{Code: wire.CodeBadFrame, Message: err.Error()})
 		}
-		if err := f.Follow(req.Leader, req.Epoch); err != nil {
+		if err := s.node.Follow(req.Leader, req.Epoch); err != nil {
 			return s.writeError(c, execError(err))
 		}
 		s.logf("conn %v: following %s at epoch %d", c.nc.RemoteAddr(), req.Leader, req.Epoch)
@@ -531,10 +458,8 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 	case wire.MsgStats:
 		s.statsReqs.Add(1)
 		var rs *wire.ReplStats
-		if r, ok := s.db.(ReplStatser); ok {
-			rs = r.ReplStats()
-		} else if s.cfg.Repl != nil {
-			rs = s.cfg.Repl.Stats()
+		if s.node != nil {
+			rs = s.node.ReplStats()
 		}
 		return s.write(c, wire.MsgStatsResult, wire.StatsResponse{
 			Engine: s.db.Stats(),
@@ -559,21 +484,17 @@ func (s *Server) handle(c *conn, typ byte, payload []byte) bool {
 // may execute; when it may not, alive reports whether the connection is
 // still usable.
 func (s *Server) gateEpoch(c *conn, reqEpoch uint64) (proceed, alive bool) {
-	if reqEpoch == 0 {
+	if reqEpoch == 0 || s.node == nil {
 		return true, true
 	}
-	ep, ok := s.db.(Epocher)
-	if !ok {
-		return true, true
-	}
-	if cur := ep.Epoch(); reqEpoch < cur {
+	if cur := s.node.Epoch(); reqEpoch < cur {
 		return false, s.writeError(c, wire.ErrorResponse{
 			Code:    wire.CodeStaleEpoch,
 			Epoch:   cur,
 			Message: fmt.Sprintf("request epoch %d is older than node epoch %d", reqEpoch, cur),
 		})
 	} else if reqEpoch > cur {
-		ep.ObserveEpoch(reqEpoch)
+		s.node.ObserveEpoch(reqEpoch)
 	}
 	return true, true
 }
@@ -585,11 +506,9 @@ func (s *Server) writeExecResult(c *conn, typ byte, res *sopr.Result) bool {
 	if err != nil {
 		return s.writeError(c, wire.ErrorResponse{Code: wire.CodeInternal, Message: err.Error()})
 	}
-	if ln, ok := s.db.(CurrentLSNer); ok {
-		resp.LSN = ln.CurrentLSN()
-	}
-	if ep, ok := s.db.(Epocher); ok {
-		resp.Epoch = ep.Epoch()
+	resp.LSN = s.db.CurrentLSN()
+	if s.node != nil {
+		resp.Epoch = s.node.Epoch()
 	}
 	if res != nil {
 		resp.Synced = res.Synced
@@ -607,11 +526,9 @@ func (s *Server) handleReplJoin(c *conn, payload []byte) {
 		s.writeError(c, wire.ErrorResponse{Code: wire.CodeBadFrame, Message: err.Error()})
 		return
 	}
-	src := s.cfg.Repl
-	if rs, ok := s.db.(ReplSourcer); ok {
-		if bs := rs.ReplSource(); bs != nil {
-			src = bs
-		}
+	var src *repl.Source
+	if s.node != nil {
+		src = s.node.ReplSource()
 	}
 	if src == nil {
 		s.writeError(c, wire.ErrorResponse{

@@ -113,14 +113,20 @@ func TestStatsEveryCounterOverWireFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { pdb.Close() })
-	src := repl.NewSource(pdb.WALLog(), repl.SourceConfig{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
-	_, paddr := startServer(t, pdb, Config{Repl: src})
+	pnode, err := repl.NewNode(pdb, repl.Config{Heartbeat: 50 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pnode.Close() })
+	_, paddr := startServer(t, pnode, Config{})
 	pdb.MustExec(statsSchema)
 
-	fl, err := repl.NewFollower(repl.FollowerConfig{
-		Primary:      paddr,
-		DataDir:      t.TempDir(),
+	fdb, err := sopr.OpenDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := repl.NewNode(fdb, repl.Config{
+		Leader:       paddr,
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 250 * time.Millisecond,
 		Logf:         t.Logf,
@@ -128,9 +134,8 @@ func TestStatsEveryCounterOverWireFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go fl.Run()
+	t.Cleanup(func() { _ = fl.Close() })
 	_, faddr := startServer(t, fl, Config{})
-	t.Cleanup(fl.Close)
 	if err := fl.WaitForLSN(pdb.CurrentLSN(), 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +143,6 @@ func TestStatsEveryCounterOverWireFollower(t *testing.T) {
 	if err := c.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	driveEveryCounter(t, c, fl.Checkpoint)
+	driveEveryCounter(t, c, fdb.Checkpoint)
 	checkStatsOverWire(t, c, fl.Stats)
 }

@@ -171,3 +171,85 @@ func TestFaultIntervalSyncPoisonsLog(t *testing.T) {
 		t.Fatalf("WaitDurable after failed background sync: %v, want ErrLogFailed", err)
 	}
 }
+
+// gateFS blocks the first file fsync issued after it is armed until
+// release is closed, signalling entered when that fsync starts. Every
+// other fsync passes straight through, so a test can run a concurrent
+// Log.Sync inside a group-commit leader's fsync window.
+type gateFS struct {
+	FS
+	mu      sync.Mutex
+	armed   bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+type gateFile struct {
+	File
+	fs *gateFS
+}
+
+func (g *gateFS) Create(name string) (File, error) {
+	f, err := g.FS.Create(name)
+	return gateFile{f, g}, err
+}
+
+func (g *gateFS) OpenAppend(name string) (File, error) {
+	f, err := g.FS.OpenAppend(name)
+	return gateFile{f, g}, err
+}
+
+func (f gateFile) Sync() error {
+	f.fs.mu.Lock()
+	first := f.fs.armed
+	f.fs.armed = false
+	f.fs.mu.Unlock()
+	if first {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestGroupCommitCountsOnlyAcknowledgingSyncs: a Log.Sync (a checkpoint's,
+// say) that lands while a group-commit leader is inside its fsync makes
+// the leader's record durable first. The leader's fsync then acknowledged
+// no parked committer and must not count as a group commit; counting it
+// left a quiescent log with GroupedTxns < GroupCommits and TxnsPerSync
+// below 1.
+func TestGroupCommitCountsOnlyAcknowledgingSyncs(t *testing.T) {
+	g := &gateFS{FS: NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
+	l, _ := openTest(t, g, Options{Policy: SyncAlways})
+	lsn, err := l.AppendCommitAsync(commitRec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock()
+	g.armed = true
+	g.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- l.WaitDurable(lsn) }()
+	<-g.entered // the leader is inside its fsync, outside the log mutex
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	close(g.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.GroupCommits != 0 || st.GroupedTxns != 0 {
+		t.Fatalf("GroupCommits=%d GroupedTxns=%d, want 0 and 0: the leader's fsync acknowledged nobody",
+			st.GroupCommits, st.GroupedTxns)
+	}
+	// The next commit's own fsync is a group of one.
+	if lsn, err = l.AppendCommitAsync(commitRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitDurable(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.GroupCommits != 1 || st.GroupedTxns != 1 {
+		t.Fatalf("GroupCommits=%d GroupedTxns=%d after one more commit, want 1 and 1", st.GroupCommits, st.GroupedTxns)
+	}
+}

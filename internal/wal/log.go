@@ -104,9 +104,11 @@ type Stats struct {
 	Bytes   int64 // bytes appended (framing included)
 	Syncs   int64 // fsync calls issued
 	// Group commit (SyncAlways): GroupCommits counts leader fsyncs issued
-	// from WaitDurable, GroupedTxns counts the parked committers those
-	// fsyncs covered. GroupedTxns/GroupCommits is the amortization factor
-	// — how many transactions each durable-path fsync acknowledged.
+	// from WaitDurable that acknowledged at least one parked committer,
+	// GroupedTxns counts the committers those fsyncs covered, so
+	// GroupedTxns >= GroupCommits. GroupedTxns/GroupCommits is the
+	// amortization factor — how many transactions each durable-path fsync
+	// acknowledged.
 	GroupCommits int64
 	GroupedTxns  int64
 }
@@ -639,15 +641,21 @@ func (l *Log) WaitDurable(lsn uint64) error {
 		l.stats.Syncs++
 		prev := l.durable
 		l.advanceDurable(target)
-		l.stats.GroupCommits++
 		// Count the committers this fsync acknowledged: parked entries in
 		// (prev durable, target]. Entries at or below the previous horizon
 		// were satisfied by an earlier sync and just have not woken yet —
-		// counting them again would inflate TxnsPerSync.
+		// counting them again would inflate TxnsPerSync. An fsync that
+		// acknowledged nobody (a concurrent Sync, say a checkpoint's,
+		// already covered the whole prefix) is not a group commit.
+		var grouped int64
 		for plsn, n := range l.parked {
 			if plsn > prev && plsn <= target {
-				l.stats.GroupedTxns += int64(n)
+				grouped += int64(n)
 			}
+		}
+		if grouped > 0 {
+			l.stats.GroupCommits++
+			l.stats.GroupedTxns += grouped
 		}
 		l.groupWake.Broadcast()
 	}

@@ -173,8 +173,9 @@ type ReplStats struct {
 	// Connected reports whether the replica's stream to the primary is
 	// currently up.
 	Connected bool `json:"connected,omitempty"`
-	// Promoted reports that this node began as a replica and was promoted
-	// to accept writes.
+	// Promoted reports that this node leads by promotion: it followed a
+	// leader (from startup or after a demotion) and was then promoted to
+	// accept writes.
 	Promoted bool `json:"promoted,omitempty"`
 	// Followers is the number of connected stream sessions on a primary.
 	Followers int `json:"followers,omitempty"`
